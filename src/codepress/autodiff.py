@@ -9,10 +9,13 @@ Conventions, fixed across the whole package:
 
 A computation is expressed by calling ops on ``Tensor`` values; calling
 ``backward()`` on a scalar result accumulates vector-Jacobian products into
-``.grad`` of every node it depends on.  Two ops deliberately lie to the
-gradient: ``stop_gradient`` (backward is zero) and ``straight_through``
-(forward is the hard argmax one-hot, backward is the identity), so both are
-rejected by the finite-difference checker when they sit on the checked path.
+``.grad`` of every node it depends on.  ``gradients()`` returns a ``RowGrad``
+instead of a dense array for a parameter the graph reaches only through
+``gather_rows``, so a step over a large table costs what the batch touches.
+Two ops deliberately lie to the gradient: ``stop_gradient`` (backward is
+zero) and ``straight_through`` (forward is the hard argmax one-hot, backward
+is the identity), so both are rejected by the finite-difference checker when
+they sit on the checked path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError(f"non-finite values in node '{label}'")
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.op = op
         self.name = label
         self._parents = parents
@@ -88,15 +91,52 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse accumulation from this scalar into .grad of all ancestors."""
-        if self.data.shape != ():
-            raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        order = topo_order(self)
-        for node in order:
-            node.grad = np.zeros_like(node.data)
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward()
+        _backprop(self, topo_order(self))
+
+
+class RowGrad:
+    """Gradient of a table that is nonzero only on some rows.
+
+    ``indices`` are unique and ascending; ``rows[i]`` is the gradient of row
+    ``indices[i]``, duplicate gathers summed in graph order.  Every other row's
+    gradient is exactly zero.
+    """
+
+    __slots__ = ("indices", "rows")
+
+    def __init__(self, indices: np.ndarray, rows: np.ndarray):
+        self.indices = indices
+        self.rows = rows
+
+    @property
+    def nbytes(self) -> int:
+        return self.indices.nbytes + self.rows.nbytes
+
+
+def _coalesce(parts: list[tuple[np.ndarray, np.ndarray]]) -> RowGrad:
+    """Sum (indices, rows) gather contributions into one RowGrad."""
+    idx = np.concatenate([i for i, _ in parts])
+    values = np.concatenate([g for _, g in parts])
+    unique, inverse = np.unique(idx, return_inverse=True)
+    rows = np.zeros((unique.size,) + values.shape[1:])
+    np.add.at(rows, inverse, values)
+    return RowGrad(unique, rows)
+
+
+def _backprop(loss: Tensor, order: list[Tensor], row_leaves: frozenset[int] = frozenset()):
+    """Run every backward closure of ``order`` (parents first) from ``loss``.
+
+    A leaf in ``row_leaves`` gets a list instead of a zero array: its
+    ``gather_rows`` consumers append their (indices, rows) to it.
+    """
+    if loss.data.shape != ():
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    for node in order:
+        node.grad = [] if id(node) in row_leaves else np.zeros_like(node.data)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
 
 
 def _as_tensor(value) -> Tensor:
@@ -221,7 +261,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = Tensor(a.data[idx], (a,), op="gather_rows")
 
     def _back():
-        np.add.at(a.grad, idx, out.grad)
+        if isinstance(a.grad, list):
+            a.grad.append((idx, out.grad))
+        else:
+            np.add.at(a.grad, idx, out.grad)
 
     out._backward = _back
     return out
@@ -412,9 +455,11 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     return out
 
 
-def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Backward pass returning a fresh grad array per requested parameter.
+def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray | RowGrad]:
+    """Backward pass returning a fresh gradient per requested parameter.
 
+    A leaf parameter that every consumer in the graph reads through
+    ``gather_rows`` gets a ``RowGrad``; any other parameter gets a dense array.
     Raises if the loss is not scalar or a parameter is not part of the graph.
     """
     order = topo_order(loss)
@@ -422,8 +467,21 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     for pname, p in params.items():
         if id(p) not in members:
             raise ValueError(f"parameter '{pname}' is not in the graph")
-    loss.backward()
-    return {pname: p.grad.copy() for pname, p in params.items()}
+    gathered, dense = set(), set()
+    for node in order:
+        for parent in node._parents:
+            (gathered if node.op == "gather_rows" else dense).add(id(parent))
+    row_leaves = frozenset(
+        id(p) for p in params.values()
+        if p._backward is None and id(p) in gathered and id(p) not in dense
+    )
+    _backprop(loss, order, row_leaves)
+    grads = {}
+    for pname, p in params.items():
+        if id(p) in row_leaves:
+            p.grad = _coalesce(p.grad)
+        grads[pname] = p.grad
+    return grads
 
 
 _FD_OPAQUE = ("straight_through", "stop_gradient")
@@ -477,11 +535,22 @@ def finite_difference_check(
     return worst
 
 
-def global_norm_clip(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def _values(grad: np.ndarray | RowGrad) -> np.ndarray:
+    """The stored entries of a gradient: all of a dense one, a RowGrad's rows."""
+    return grad.rows if isinstance(grad, RowGrad) else grad
+
+
+def grad_norm(grad: np.ndarray | RowGrad) -> float:
+    values = _values(grad)
+    return float(np.sqrt((values * values).sum()))
+
+
+def global_norm_clip(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> float:
     """Rescale all grads in place so their joint L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    total = float(np.sqrt(sum(float((v * v).sum()) for v in map(_values, grads.values()))))
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads.values():
-            g *= factor
+            values = _values(g)
+            values *= factor
     return total

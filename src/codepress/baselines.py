@@ -320,7 +320,7 @@ def fit_dense_embedding(task, cfg: TrainConfig | None = None) -> DenseFitResult:
             grads = ad.gradients(loss, params)
             if cfg.grad_clip > 0:
                 ad.global_norm_clip(grads, cfg.grad_clip)
-            opt.step(grads, {"dense_table": batch.symbols})
+            opt.step(grads)
         val = task.validation_loss(
             lambda ids: table.data[np.asarray(ids, dtype=np.int64)]
         )

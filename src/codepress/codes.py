@@ -134,27 +134,56 @@ def save_code_table(table: CodeTable, path) -> None:
             fh.write(f"{sym} {table.code_string(i)}\n")
 
 
+def _parse_header(path, header: str) -> tuple[int, int, int]:
+    """(K, D, N) from a ``#kd K=.. D=.. N=..`` line."""
+    if not header.startswith("#kd "):
+        raise ValueError(f"{path}: missing #kd header")
+    fields = {}
+    for part in header[4:].split():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"{path}: header field {part!r} is not KEY=VALUE")
+        fields[key] = value
+    try:
+        k, d, n = (int(fields[key]) for key in "KDN")
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc.args[0]}=") from None
+    except ValueError:
+        raise ValueError(f"{path}: header K, D and N must be integers") from None
+    if k < 1 or d < 1 or n < 0:
+        raise ValueError(f"{path}: invalid header K={k} D={d} N={n}")
+    return k, d, n
+
+
 def load_code_table(path) -> CodeTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#kd "):
-            raise ValueError(f"{path}: missing #kd header")
-        fields = dict(part.split("=", 1) for part in header[4:].split())
-        k, d, n = int(fields["K"]), int(fields["D"]), int(fields["N"])
-        symbols, codes = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            sym, _, digits = line.partition(" ")
-            parts = digits.split("-")
-            if len(parts) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} digits, got {len(parts)}")
-            symbols.append(sym)
-            codes.append([int(p) for p in parts])
+    """Read a ``codes.txt``; a malformed file raises a ValueError that names
+    the file, and the line for a bad body line."""
+    symbols, codes = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            k, d, n = _parse_header(path, fh.readline().strip())
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                sym, _, digits = line.partition(" ")
+                parts = digits.split("-")
+                if len(parts) != d:
+                    raise ValueError(f"{path}:{lineno}: expected {d} digits, got {len(parts)}")
+                try:
+                    row = [int(p) for p in parts]
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-integer digit in {digits!r}") from None
+                if not all(0 <= x < k for x in row):
+                    raise ValueError(f"{path}:{lineno}: digits must lie in [0, {k})")
+                symbols.append(sym)
+                codes.append(row)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     if len(symbols) != n:
         raise ValueError(f"{path}: header says N={n} but found {len(symbols)} rows")
-    return CodeTable(symbols=symbols, codes=np.array(codes, dtype=np.int64), alphabet_size=k)
+    return CodeTable(symbols=symbols, codes=np.array(codes, dtype=np.int64).reshape(n, d),
+                     alphabet_size=k)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ position plus whatever extra parameters the chosen family needs.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ DEFAULT_HIDDEN_WIDTH = 300
 
 _MAGIC = b"KDCB"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIIIIIIII")
 
 
 class ComposerKind(str, enum.Enum):
@@ -299,8 +301,7 @@ def save_codebook(book: CodeBook, path) -> None:
     row-major float32 payloads — tables, projection if any, family extras in
     the order given by the format doc."""
     flags = (1 if book.projection is not None else 0) | (2 if book.tie_output_gate else 0)
-    header = struct.pack(
-        "<4sIIIIIIII",
+    header = _HEADER.pack(
         _MAGIC,
         _FORMAT_VERSION,
         book.alphabet_size,
@@ -321,48 +322,60 @@ def save_codebook(book: CodeBook, path) -> None:
             fh.write(np.ascontiguousarray(book.extras[name].data, dtype="<f4").tobytes())
 
 
+def _extra_shapes(kind: ComposerKind, tied: bool, dprime: int, hidden: int, out_dim: int):
+    """Shape of each family extra, in file order."""
+    if kind is ComposerKind.HIDDEN:
+        return {
+            "w_hidden": (dprime, hidden),
+            "b_hidden": (hidden,),
+            "w_out": (hidden, out_dim),
+            "b_out": (out_dim,),
+        }
+    return {
+        name: (dprime, dprime) if name.startswith("u_") else (dprime,)
+        for name in _extra_order(kind, tied)
+    }
+
+
 def load_codebook(path) -> CodeBook:
+    """Read a ``codebook.bin``; a malformed file raises a ValueError naming it."""
     with open(path, "rb") as fh:
-        raw = fh.read(struct.calcsize("<4sIIIIIIII"))
-        magic, version, k, d, dprime, out_dim, kind_code, hidden, flags = struct.unpack(
-            "<4sIIIIIIII", raw
-        )
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a codebook file")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        kind = _WIRE_KIND[kind_code]
-        has_proj, tied = bool(flags & 1), bool(flags & 2)
-
-        def read_array(shape, name):
-            n = int(np.prod(shape))
-            buf = fh.read(4 * n)
-            if len(buf) != 4 * n:
-                raise ValueError(f"{path}: truncated while reading {name}")
-            data = np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
-            return Tensor(data, op="leaf", name=name)
-
-        tables = [read_array((k, dprime), f"table_{j}") for j in range(d)]
-        projection = read_array((out_dim, dprime), "projection") if has_proj else None
-        extras = {}
-        for name in _extra_order(kind, tied):
-            if kind is ComposerKind.HIDDEN:
-                shape = {
-                    "w_hidden": (dprime, hidden),
-                    "b_hidden": (hidden,),
-                    "w_out": (hidden, out_dim),
-                    "b_out": (out_dim,),
-                }[name]
-            else:
-                shape = (dprime, dprime) if name.startswith("u_") else (dprime,)
-            extras[name] = read_array(shape, name)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after codebook payload")
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header ({len(raw)} of {_HEADER.size} bytes)")
+    magic, version, k, d, dprime, out_dim, kind_code, hidden, flags = _HEADER.unpack_from(raw)
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: not a codebook file")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    if kind_code not in _WIRE_KIND:
+        raise ValueError(f"{path}: unknown composer code {kind_code}")
+    if min(k, d, dprime) < 1:
+        raise ValueError(f"{path}: empty code shape K={k} D={d} d'={dprime}")
+    kind = _WIRE_KIND[kind_code]
+    has_proj, tied = bool(flags & 1), bool(flags & 2)
+    rest = {"projection": (out_dim, dprime)} if has_proj else {}
+    rest.update(_extra_shapes(kind, tied, dprime, hidden, out_dim))
+    expected = 4 * (d * k * dprime + sum(math.prod(s) for s in rest.values()))
+    payload = len(raw) - _HEADER.size
+    if payload < expected:
+        raise ValueError(f"{path}: truncated payload ({payload} of {expected} bytes)")
+    if payload > expected:
+        raise ValueError(f"{path}: trailing bytes after codebook payload")
+    shapes = {f"table_{j}": (k, dprime) for j in range(d)} | rest
+    values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite value in the payload")
+    params, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = Tensor(values[offset : offset + size].reshape(shape), op="leaf", name=name)
+        offset += size
     return CodeBook(
         kind=kind,
-        tables=tables,
-        projection=projection,
-        extras=extras,
+        tables=[params.pop(f"table_{j}") for j in range(d)],
+        projection=params.pop("projection", None),
+        extras=params,
         hidden_width=hidden,
         tie_output_gate=tied,
     )

@@ -7,6 +7,7 @@ A run that raises is recorded as a failure entry; the sweep carries on.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +42,11 @@ def derived_seed(base_seed: int, index: int) -> int:
 
 
 def run_one(base: SweepBase, seed: int, **overrides) -> tuple[RunReport, FitResult]:
-    """One fit+eval at the base configuration with the given field overrides."""
+    """One fit+eval at the base configuration with the given field overrides.
+
+    The report's ``wall_time_s`` covers the fit and the evaluation.
+    """
+    start = time.perf_counter()
     settings = {
         "alphabet_size": base.alphabet_size,
         "code_length": base.code_length,
@@ -84,6 +89,7 @@ def run_one(base: SweepBase, seed: int, **overrides) -> tuple[RunReport, FitResu
         config=echo,
         metrics={"val_loss": result.best_val, **scores},
         reconstruction_mse=scores.get("reconstruction_mse"),
+        wall_time_s=time.perf_counter() - start,
     )
     return report, result
 

@@ -9,8 +9,12 @@ Per batch the trainer wires
     loss   = task(v or guidance-mixed v) + gamma_t * entropy + guidance terms
 
 then takes one optimizer step on every parameter group (code logits, codebook,
-task parameters, guidance parameters).  Logit and continuous-table updates are
-row-sparse: symbols absent from a batch are untouched.  Checkpointing keeps
+task parameters, guidance parameters).  Row sparsity is carried by the
+gradient: ``ad.gradients`` returns a ``RowGrad`` (the batch's unique rows) for
+the code logits and the odg table, which the graph reaches only through
+``gather_rows``, and the optimizers update just those rows, so symbols absent
+from a batch are untouched and a step costs O(batch), not O(vocabulary).
+Every other group gets a dense gradient and a dense update.  Checkpointing keeps
 the parameters with the lowest validation loss under *hard* codes, which is
 exactly the inference regime.
 """
@@ -107,28 +111,27 @@ class TrainConfig:
 
 
 class Sgd:
-    """Plain gradient step; sparse rows behave identically to dense here."""
+    """Plain gradient step; a ``RowGrad`` moves only its rows."""
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
 
-    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None):
-        rows = rows or {}
+    def step(self, grads: dict[str, np.ndarray | ad.RowGrad]):
         for name, p in self.params.items():
-            if name in rows:
-                r = rows[name]
-                p.data[r] -= self.lr * grads[name][r]
+            g = grads[name]
+            if isinstance(g, ad.RowGrad):
+                p.data[g.indices] -= self.lr * g.rows
             else:
-                p.data -= self.lr * grads[name]
+                p.data -= self.lr * g
 
 
 class Adam:
     """Adaptive-moment optimizer with lazy row updates for large tables.
 
-    For a parameter listed in ``rows`` only the given rows advance (their
-    first/second moments and values); all other rows stay bit-identical.
-    Bias correction uses the global step count.
+    For a parameter whose gradient is a ``RowGrad`` only its rows advance
+    (their first/second moments and values); all other rows stay
+    bit-identical.  Bias correction uses the global step count.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -139,19 +142,19 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None):
-        rows = rows or {}
+    def step(self, grads: dict[str, np.ndarray | ad.RowGrad]):
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
             g = grads[name]
-            if name in rows:
-                r = rows[name]
-                self.m[name][r] = self.beta1 * self.m[name][r] + (1 - self.beta1) * g[r]
-                self.v[name][r] = self.beta2 * self.v[name][r] + (1 - self.beta2) * g[r] ** 2
-                update = (self.m[name][r] / c1) / (np.sqrt(self.v[name][r] / c2) + self.eps)
-                p.data[r] -= self.lr * update
+            if isinstance(g, ad.RowGrad):
+                r = g.indices
+                m = self.beta1 * self.m[name][r] + (1 - self.beta1) * g.rows
+                v = self.beta2 * self.v[name][r] + (1 - self.beta2) * g.rows**2
+                self.m[name][r] = m
+                self.v[name][r] = v
+                p.data[r] -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
             else:
                 self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
                 self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g**2
@@ -298,7 +301,11 @@ class Trainer:
         cfg, g = self.cfg, self.cfg.guidance
         n_sym = batch.symbols.size
         if self.frozen_table is not None:
-            v = compose_digits(self.frozen_table.codes[batch.symbols], self.book)
+            # Constant one-hot rows through the matmul path: the same forward as
+            # compose_digits, but the digit tables keep a dense gradient.
+            digits = self.frozen_table.codes[batch.symbols]
+            one_hot = np.eye(self.code_cfg.alphabet_size)[digits]
+            v = compose_relaxed(Tensor(one_hot, op="const"), self.book)
             relaxed = None
             logit_rows = None
         else:
@@ -367,15 +374,8 @@ class Trainer:
                 return record
             if cfg.grad_clip > 0:
                 ad.global_norm_clip(grads, cfg.grad_clip)
-            self.last_grad_norms = {
-                name: float(np.sqrt((g * g).sum())) for name, g in grads.items()
-            }
-            rows = {}
-            if "code_logits" in self.params:
-                rows["code_logits"] = batch.symbols
-            if "odg_u" in self.params:
-                rows["odg_u"] = batch.symbols
-            self.opt.step(grads, rows)
+            self.last_grad_norms = {name: ad.grad_norm(g) for name, g in grads.items()}
+            self.opt.step(grads)
             sums += (task_val, ent_val, guid_val)
             count += 1
             self.step += 1

@@ -1,0 +1,149 @@
+"""Malformed ``codes.txt`` and ``codebook.bin`` files: every one is rejected
+with a ValueError that names the file (and the line, for a codes.txt body
+line), so the CLI reports it instead of printing a traceback."""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codepress.codes import CodeTable, load_code_table, save_code_table
+from codepress.composer import ComposerKind, init_codebook, load_codebook, save_codebook
+
+
+def write(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
+def names(path, line=None):
+    where = f"{path}:{line}:" if line is not None else f"{path}:"
+    return "^" + re.escape(where)
+
+
+class TestCodeTableErrors:
+    def test_header_without_n(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=4 D=2\na 1-2\n")
+        with pytest.raises(ValueError, match=names(path) + ".*N="):
+            load_code_table(path)
+
+    def test_header_token_without_equals(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=4 D D=2 N=1\na 1-2\n")
+        with pytest.raises(ValueError, match=names(path) + ".*KEY=VALUE"):
+            load_code_table(path)
+
+    def test_non_integer_header_value(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=four D=2 N=1\na 1-2\n")
+        with pytest.raises(ValueError, match=names(path) + ".*integers"):
+            load_code_table(path)
+
+    def test_non_integer_digit_names_line(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=4 D=2 N=2\na 1-2\nb 1-x\n")
+        with pytest.raises(ValueError, match=names(path, 3) + ".*non-integer"):
+            load_code_table(path)
+
+    def test_out_of_range_digit_names_line(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=4 D=2 N=1\na 1-4\n")
+        with pytest.raises(ValueError, match=names(path, 2) + r".*\[0, 4\)"):
+            load_code_table(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = write(tmp_path, "codes.txt", b"#kd K=4 D=2 N=1\n\xff 1-2\n")
+        with pytest.raises(ValueError, match=names(path) + ".*UTF-8"):
+            load_code_table(path)
+
+    def test_empty_table_loads(self, tmp_path):
+        path = write(tmp_path, "codes.txt", "#kd K=4 D=2 N=0\n")
+        assert load_code_table(path).codes.shape == (0, 2)
+
+
+def small_book(kind, seed):
+    return init_codebook(4, 3, 5, 6, kind, np.random.default_rng(seed), hidden_width=7)
+
+
+class TestCodebookErrors:
+    def test_shorter_than_header(self, tmp_path):
+        path = write(tmp_path, "codebook.bin", b"KDCB" + b"\x01\x00\x00\x00" + b"\x00" * 10)
+        with pytest.raises(ValueError, match=names(path) + ".*truncated header"):
+            load_codebook(path)
+
+    def test_unknown_composer_code(self, tmp_path):
+        path = tmp_path / "codebook.bin"
+        save_codebook(small_book(ComposerKind.LINEAR, 0), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 24, 9)  # the composer code field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=names(path) + ".*unknown composer code 9"):
+            load_codebook(path)
+
+    def test_huge_shape_is_truncation_not_allocation(self, tmp_path):
+        path = tmp_path / "codebook.bin"
+        save_codebook(small_book(ComposerKind.LINEAR, 0), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 2**32 - 1)  # code length D
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=names(path) + ".*truncated payload"):
+            load_codebook(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        path = tmp_path / "codebook.bin"
+        save_codebook(small_book(ComposerKind.LINEAR, 0), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 36, float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=names(path) + ".*non-finite"):
+            load_codebook(path)
+
+
+# -- fuzz: truncated, bit-flipped and header-mangled files ------------------------
+
+
+def loads_or_names_file(loader, path):
+    try:
+        loader(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:"), str(exc)
+
+
+@st.composite
+def mangled(draw, raw: bytes, header_len: int):
+    how = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "flip":
+        data = bytearray(raw)
+        for pos in draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+            data[pos] ^= 1 << draw(st.integers(0, 7))
+        return bytes(data)
+    header = draw(st.binary(max_size=header_len + 8))
+    return header + raw[header_len:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 50), data=st.data())
+def test_fuzzed_code_tables_load_or_name_the_file(tmp_path_factory, seed, data):
+    rng = np.random.default_rng(seed)
+    n, k, d = int(rng.integers(1, 6)), int(rng.integers(2, 12)), int(rng.integers(1, 4))
+    table = CodeTable([f"s{i}" for i in range(n)], rng.integers(0, k, (n, d)), k)
+    path = tmp_path_factory.mktemp("fuzz") / "codes.txt"
+    save_code_table(table, path)
+    raw = path.read_bytes()
+    path.write_bytes(data.draw(mangled(raw, raw.index(b"\n") + 1)))
+    loads_or_names_file(load_code_table, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(ComposerKind)), seed=st.integers(0, 50), data=st.data())
+def test_fuzzed_codebooks_load_or_name_the_file(tmp_path_factory, kind, seed, data):
+    path = tmp_path_factory.mktemp("fuzz") / "codebook.bin"
+    save_codebook(small_book(kind, seed), path)
+    raw = path.read_bytes()
+    path.write_bytes(data.draw(mangled(raw, 36)))
+    loads_or_names_file(load_codebook, path)

@@ -144,6 +144,10 @@ class TestSweeps:
         assert report.config["extra_params"] == result.book.extra_param_count()
         assert report.metrics["val_loss"] == result.best_val
 
+    def test_sweep_reports_carry_wall_time(self):
+        [report] = sweep("alphabet_size", [4], sweep_base())
+        assert report.wall_time_s > 0
+
 
 class TestAblation:
     def test_ladder_tags_in_order(self):

@@ -101,7 +101,8 @@ class TestOptimizers:
     def test_sgd_row_updates_leave_other_rows_untouched(self):
         data = np.arange(6.0).reshape(3, 2)
         p = Tensor(data.copy(), name="p")
-        Sgd({"p": p}, lr=1.0).step({"p": np.ones((3, 2))}, rows={"p": np.array([1])})
+        grad = ad.RowGrad(np.array([1]), np.ones((1, 2)))
+        Sgd({"p": p}, lr=1.0).step({"p": grad})
         assert np.array_equal(p.data[0], data[0])
         assert np.array_equal(p.data[2], data[2])
         assert np.array_equal(p.data[1], data[1] - 1.0)
@@ -128,7 +129,7 @@ class TestOptimizers:
         opt = Adam({"p": p}, lr=0.1)
         for rows in ([0, 2], [2, 4], [0]):
             g = rng.normal(size=(5, 3))
-            opt.step({"p": g}, rows={"p": np.array(rows)})
+            opt.step({"p": ad.RowGrad(np.array(rows), g[rows])})
         assert np.array_equal(p.data[1], init[1])
         assert np.array_equal(p.data[3], init[3])
         assert not np.array_equal(p.data[0], init[0])
