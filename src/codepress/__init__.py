@@ -25,13 +25,10 @@ from .codes import (
     init_logits,
     load_code_table,
     save_code_table,
-    straight_through,
-    tempering_softmax,
 )
 from .composer import (
     CodeBook,
     ComposerKind,
-    compose,
     compose_batch,
     compose_digits,
     compose_relaxed,

@@ -18,10 +18,6 @@ def bits_per_digit(alphabet_size: int) -> int:
     return (alphabet_size - 1).bit_length()
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def min_code_length(vocab_size: int, alphabet_size: int) -> int:
     """Smallest D with alphabet_size**D >= vocab_size."""
     if vocab_size < 1:

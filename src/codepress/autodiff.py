@@ -20,7 +20,7 @@ they sit on the checked path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -293,23 +293,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def concat(parts: Iterable[Tensor], axis: int = -1) -> Tensor:
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), op="concat")
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def _back():
-        offset = 0
-        for p, size in zip(parts, sizes):
-            index = [slice(None)] * out.grad.ndim
-            index[axis if axis >= 0 else out.grad.ndim + axis] = slice(offset, offset + size)
-            p.grad += out.grad[tuple(index)]
-            offset += size
-
-    out._backward = _back
-    return out
-
-
 def softmax_t(a: Tensor, tau: float) -> Tensor:
     """Rowwise (last axis) softmax of ``a / tau``; tau -> 0 approaches hard argmax."""
     if tau <= 0:
@@ -401,17 +384,6 @@ def tsum(a: Tensor) -> Tensor:
 
     def _back():
         a.grad += out.grad
-
-    out._backward = _back
-    return out
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(a.data.mean(), (a,), op="mean")
-
-    def _back():
-        a.grad += out.grad / n
 
     out._backward = _back
     return out

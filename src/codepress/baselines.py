@@ -199,22 +199,19 @@ def product_quantize(
 def pq_as_kd(pq: PQResult, symbols: list[str] | None = None) -> tuple[CodeTable, CodeBook]:
     """Express a PQ model as a linear-sum coded layer.
 
-    Code position j's digit-vector table holds centroid block j zero-padded to
-    the full width, so summing the selected digit vectors reproduces the PQ
-    concatenation exactly.
+    Code position j's block of the digit-vector tensor holds centroid block j
+    zero-padded to the full width, so summing the selected digit vectors
+    reproduces the PQ concatenation exactly.
     """
     n, m = pq.assignments.shape
     k, w = pq.n_centroids, pq.block_width
-    d = m * w
-    tables = []
+    digit_vectors = np.zeros((m, k, m * w))
     for j in range(m):
-        padded = np.zeros((k, d))
-        padded[:, j * w : (j + 1) * w] = pq.centroids[j]
-        tables.append(Tensor(padded, op="leaf", name=f"table_{j}"))
+        digit_vectors[j, :, j * w : (j + 1) * w] = pq.centroids[j]
     if symbols is None:
         symbols = [str(i) for i in range(n)]
     table = CodeTable(symbols=symbols, codes=pq.assignments, alphabet_size=k)
-    book = CodeBook(kind=ComposerKind.LINEAR, tables=tables, projection=None)
+    book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(digit_vectors, name="table"))
     return table, book
 
 
@@ -307,7 +304,7 @@ def fit_dense_embedding(task, cfg: TrainConfig | None = None) -> DenseFitResult:
     )
     params = {"dense_table": table, **task.parameters()}
     if cfg.optimizer == "adam":
-        opt = Adam(params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        opt = Adam(params, cfg.learning_rate)
     else:
         opt = Sgd(params, cfg.learning_rate)
     history: list[dict] = []

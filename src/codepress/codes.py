@@ -54,28 +54,6 @@ def init_logits(cfg: CodeConfig, rng: np.random.Generator) -> Tensor:
     return Tensor(data, op="leaf", name="code_logits")
 
 
-def tempering_softmax(logits: Tensor, tau: float) -> Tensor:
-    """Relax logit rows into probability rows; tau -> 0 recovers hard argmax."""
-    return ad.softmax_t(logits, tau)
-
-
-def straight_through(relaxed: Tensor) -> Tensor:
-    """Discretize relaxed rows: forward one_hot(argmax), backward identity.
-
-    Rows must be valid probability vectors (nonnegative, summing to one).
-    """
-    _check_probability_rows(relaxed.data, "straight_through")
-    return ad.straight_through(relaxed)
-
-
-def _check_probability_rows(values: np.ndarray, op: str, tol: float = 1e-6) -> None:
-    if np.any(values < -tol):
-        raise ValueError(f"{op}: negative entries in probability rows")
-    sums = values.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > tol):
-        raise ValueError(f"{op}: rows must sum to 1 within {tol}")
-
-
 def entropy_regularizer(relaxed: Tensor) -> Tensor:
     """Total entropy -sum p*log(p) of all relaxed rows (0*log 0 counts as 0).
 

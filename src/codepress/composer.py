@@ -7,8 +7,12 @@ Three families:
 * ``lstm`` — a recurrence over the code's digit positions; hidden width is
   tied to the digit-vector width, hidden states are summed then projected.
 
-A ``CodeBook`` owns one (alphabet, width) digit-vector table per code
-position plus whatever extra parameters the chosen family needs.
+A ``CodeBook`` owns one (code_length, alphabet, width) digit-vector tensor,
+whose block j holds code position j's digit vectors, plus whatever extra
+parameters the chosen family needs.  Flattened to (code_length * alphabet,
+width) it is the paper's ``C``: a batch of selection rows reshaped to
+(batch, code_length * alphabet) is ``B``, and the linear-sum composition is
+the single product ``B @ C``.
 """
 
 from __future__ import annotations
@@ -44,34 +48,43 @@ _WIRE_KIND = {v: k for k, v in _KIND_WIRE.items()}
 
 @dataclass
 class CodeBook:
-    """Digit-vector tables plus the parameters of one composition family."""
+    """Digit-vector tensor plus the parameters of one composition family."""
 
     kind: ComposerKind
-    tables: list[Tensor]  # code_length tensors, each (alphabet, digit_dim)
+    table: Tensor  # (code_length, alphabet, digit_dim); block j is position j
     projection: Tensor | None = None  # (embed_dim, digit_dim), applied as s @ P.T
     extras: dict[str, Tensor] = field(default_factory=dict)
     hidden_width: int = 0
     tie_output_gate: bool = False
 
     def __post_init__(self):
-        if not self.tables:
-            raise ValueError("CodeBook needs at least one digit-vector table")
-        shape = self.tables[0].data.shape
-        for t in self.tables:
-            if t.data.shape != shape:
-                raise ValueError("all digit-vector tables must share one shape")
+        if self.table.data.ndim != 3 or self.table.data.shape[0] < 1:
+            raise ValueError(
+                "CodeBook needs a (code_length, alphabet, digit_dim) digit-vector table, "
+                f"got shape {self.table.data.shape}"
+            )
 
     @property
     def code_length(self) -> int:
-        return len(self.tables)
+        return self.table.data.shape[0]
 
     @property
     def alphabet_size(self) -> int:
-        return self.tables[0].data.shape[0]
+        return self.table.data.shape[1]
 
     @property
     def digit_dim(self) -> int:
-        return self.tables[0].data.shape[1]
+        return self.table.data.shape[2]
+
+    @property
+    def tables(self) -> list[Tensor]:
+        """Read-only (alphabet, digit_dim) views of each position's block, for
+        callers that read the digit vectors per position."""
+        views = []
+        for j, block in enumerate(self.table.data):
+            block.flags.writeable = False
+            views.append(Tensor(block, name=f"table_{j}"))
+        return views
 
     @property
     def embed_dim(self) -> int:
@@ -83,17 +96,17 @@ class CodeBook:
 
     def parameters(self) -> dict[str, Tensor]:
         """Every trainable tensor, keyed for optimizers and export order."""
-        params = {f"table_{j}": t for j, t in enumerate(self.tables)}
+        params = {"table": self.table}
         if self.projection is not None:
             params["projection"] = self.projection
         params.update(self.extras)
         return params
 
     def table_param_count(self) -> int:
-        return sum(t.data.size for t in self.tables)
+        return self.table.data.size
 
     def extra_param_count(self) -> int:
-        """Parameters beyond the digit-vector tables (projection + family extras)."""
+        """Parameters beyond the digit-vector tensor (projection + family extras)."""
         n = sum(t.data.size for t in self.extras.values())
         if self.projection is not None:
             n += self.projection.data.size
@@ -129,10 +142,7 @@ def init_codebook(
     """
     kind = ComposerKind(kind)
     scale = 1.0 / np.sqrt(digit_dim)
-    tables = [
-        _uniform(rng, (alphabet_size, digit_dim), scale, f"table_{j}")
-        for j in range(code_length)
-    ]
+    table = _uniform(rng, (code_length, alphabet_size, digit_dim), scale, "table")
     projection = None
     extras: dict[str, Tensor] = {}
     if kind is ComposerKind.HIDDEN:
@@ -152,7 +162,7 @@ def init_codebook(
         hidden_width = 0
     return CodeBook(
         kind=kind,
-        tables=tables,
+        table=table,
         projection=projection,
         extras=extras,
         hidden_width=hidden_width if kind is ComposerKind.HIDDEN else 0,
@@ -173,13 +183,13 @@ def _check_selection(sel: Tensor, book: CodeBook) -> None:
         raise ValueError(f"selection rows must sum to 1 within {ROW_SUM_TOL}")
 
 
-def _combine(contribs: list[Tensor], book: CodeBook) -> Tensor:
-    """Fold per-position digit vectors (batch, digit_dim) into embeddings."""
-    if book.kind is ComposerKind.LSTM:
-        return _lstm_combine(contribs, book)
-    total = contribs[0]
-    for c in contribs[1:]:
-        total = total + c
+def _flat_table(book: CodeBook) -> Tensor:
+    """The digit-vector tensor as the (code_length * alphabet, digit_dim) ``C``."""
+    return ad.reshape(book.table, (-1, book.digit_dim))
+
+
+def _head(total: Tensor, book: CodeBook) -> Tensor:
+    """Map summed digit vectors (batch, digit_dim) to embeddings."""
     if book.kind is ComposerKind.HIDDEN:
         hidden = ad.relu(ad.add(total @ book.extras["w_hidden"], book.extras["b_hidden"]))
         return ad.add(hidden @ book.extras["w_out"], book.extras["b_out"])
@@ -203,9 +213,7 @@ def _lstm_combine(contribs: list[Tensor], book: CodeBook) -> Tensor:
         m = t_gate * m + i_gate * candidate
         h = o_gate * ad.tanh(m)
         h_sum = h if h_sum is None else h_sum + h
-    if book.projection is not None:
-        h_sum = h_sum @ book.projection.T
-    return h_sum
+    return _head(h_sum, book)
 
 
 def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
@@ -213,36 +221,43 @@ def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
 
     Rows may be exact one-hots or relaxed distributions; either way each row
     must sum to 1.  Differentiable w.r.t. both the selection and the book.
+    The sum families compute ``B @ C`` in one product; lstm feeds position j's
+    ``selection[:, j] @ C[j*K:(j+1)*K]`` to its recurrence.
     """
     _check_selection(selection, book)
-    contribs = [
-        ad.select(selection, j) @ book.tables[j] for j in range(book.code_length)
-    ]
-    return _combine(contribs, book)
-
-
-def compose(selection: Tensor, book: CodeBook) -> Tensor:
-    """Single-symbol composition from (code_length, alphabet) selection rows."""
-    if selection.data.ndim != 2:
-        raise ValueError(f"expected (code_length, alphabet) selection, got {selection.data.shape}")
-    batched = ad.reshape(selection, (1,) + selection.data.shape)
-    return ad.reshape(compose_relaxed(batched, book), (book.embed_dim,))
+    batch, d, k = selection.data.shape
+    flat = _flat_table(book)
+    if book.kind is ComposerKind.LSTM:
+        contribs = [
+            ad.select(selection, j) @ ad.gather_rows(flat, np.arange(j * k, (j + 1) * k))
+            for j in range(d)
+        ]
+        return _lstm_combine(contribs, book)
+    return _head(ad.reshape(selection, (batch, d * k)) @ flat, book)
 
 
 def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
     """Compose embedding rows for raw digit rows (batch, code_length).
 
-    Uses row gathers, which agree bit-for-bit with one-hot matrix products.
+    Gathers row ``j * alphabet + digit`` of ``C`` per position and sums the
+    rows in position order.  The one-hot ``B @ C`` of compose_relaxed adds the
+    same terms, but in the BLAS's order, so the two can differ by one
+    rounding per entry.
     """
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2 or digits.shape[1] != book.code_length:
         raise ValueError(f"digits must be (batch, {book.code_length}), got {digits.shape}")
     if digits.size and (digits.min() < 0 or digits.max() >= book.alphabet_size):
         raise ValueError(f"digits must lie in [0, {book.alphabet_size})")
-    contribs = [
-        ad.gather_rows(book.tables[j], digits[:, j]) for j in range(book.code_length)
-    ]
-    return _combine(contribs, book)
+    flat = _flat_table(book)
+    rows = digits + book.alphabet_size * np.arange(book.code_length)
+    contribs = [ad.gather_rows(flat, rows[:, j]) for j in range(book.code_length)]
+    if book.kind is ComposerKind.LSTM:
+        return _lstm_combine(contribs, book)
+    total = contribs[0]
+    for c in contribs[1:]:
+        total = total + c
+    return _head(total, book)
 
 
 def compose_batch(table: CodeTable, book: CodeBook) -> Tensor:
@@ -252,32 +267,20 @@ def compose_batch(table: CodeTable, book: CodeBook) -> Tensor:
     return compose_digits(table.codes, book)
 
 
-def one_hot_selection(table: CodeTable) -> Tensor:
-    """Exact one-hot (vocab, code_length, alphabet) constant for a hard table."""
-    n, d, k = table.vocab_size, table.code_length, table.alphabet_size
-    sel = np.zeros((n, d, k))
-    rows = np.repeat(np.arange(n), d)
-    cols = np.tile(np.arange(d), n)
-    sel[rows, cols, table.codes.ravel()] = 1.0
-    return Tensor(sel, op="leaf", name="one_hot_selection")
-
-
 def build_factorization(table: CodeTable, book: CodeBook) -> tuple[np.ndarray, np.ndarray]:
     """Linear-sum composition as a binary sparse factorization.
 
     Returns (B, C): B is (vocab, alphabet*code_length) with exactly
     ``code_length`` ones per row (one per block of ``alphabet`` columns), C
-    stacks the digit-vector tables to (alphabet*code_length, digit_dim), and
-    B @ C reproduces compose_batch.
+    is the digit-vector tensor flattened to (alphabet*code_length, digit_dim),
+    and B @ C reproduces compose_batch.
     """
     if book.kind is not ComposerKind.LINEAR or book.projection is not None:
         raise ValueError("factorization requires the linear-sum family with identity projection")
     n, d, k = table.vocab_size, table.code_length, table.alphabet_size
     b = np.zeros((n, k * d))
-    for j in range(d):
-        b[np.arange(n), j * k + table.codes[:, j]] = 1.0
-    c = np.concatenate([t.data for t in book.tables], axis=0)
-    return b, c
+    b[np.arange(n)[:, None], table.codes + k * np.arange(d)] = 1.0
+    return b, book.table.data.reshape(k * d, -1).copy()
 
 
 def factorization_equivalence_check(table: CodeTable, book: CodeBook) -> float:
@@ -298,8 +301,8 @@ def _extra_order(kind: ComposerKind, tied: bool) -> list[str]:
 
 def save_codebook(book: CodeBook, path) -> None:
     """Binary export: header (K, D, d', d, kind, hidden width, flags), then
-    row-major float32 payloads — tables, projection if any, family extras in
-    the order given by the format doc."""
+    row-major float32 payloads — the (D, K, d') digit-vector tensor, projection
+    if any, family extras in the order given by the format doc."""
     flags = (1 if book.projection is not None else 0) | (2 if book.tie_output_gate else 0)
     header = _HEADER.pack(
         _MAGIC,
@@ -314,12 +317,10 @@ def save_codebook(book: CodeBook, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for t in book.tables:
+        payload = [book.table] + ([book.projection] if book.projection is not None else [])
+        payload += [book.extras[name] for name in _extra_order(book.kind, book.tie_output_gate)]
+        for t in payload:
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
-        if book.projection is not None:
-            fh.write(np.ascontiguousarray(book.projection.data, dtype="<f4").tobytes())
-        for name in _extra_order(book.kind, book.tie_output_gate):
-            fh.write(np.ascontiguousarray(book.extras[name].data, dtype="<f4").tobytes())
 
 
 def _extra_shapes(kind: ComposerKind, tied: bool, dprime: int, hidden: int, out_dim: int):
@@ -354,15 +355,14 @@ def load_codebook(path) -> CodeBook:
         raise ValueError(f"{path}: empty code shape K={k} D={d} d'={dprime}")
     kind = _WIRE_KIND[kind_code]
     has_proj, tied = bool(flags & 1), bool(flags & 2)
-    rest = {"projection": (out_dim, dprime)} if has_proj else {}
-    rest.update(_extra_shapes(kind, tied, dprime, hidden, out_dim))
-    expected = 4 * (d * k * dprime + sum(math.prod(s) for s in rest.values()))
+    shapes = {"table": (d, k, dprime)} | ({"projection": (out_dim, dprime)} if has_proj else {})
+    shapes.update(_extra_shapes(kind, tied, dprime, hidden, out_dim))
+    expected = 4 * sum(math.prod(s) for s in shapes.values())
     payload = len(raw) - _HEADER.size
     if payload < expected:
         raise ValueError(f"{path}: truncated payload ({payload} of {expected} bytes)")
     if payload > expected:
         raise ValueError(f"{path}: trailing bytes after codebook payload")
-    shapes = {f"table_{j}": (k, dprime) for j in range(d)} | rest
     values = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite value in the payload")
@@ -373,7 +373,7 @@ def load_codebook(path) -> CodeBook:
         offset += size
     return CodeBook(
         kind=kind,
-        tables=[params.pop(f"table_{j}") for j in range(d)],
+        table=params.pop("table"),
         projection=params.pop("projection", None),
         extras=params,
         hidden_width=hidden,

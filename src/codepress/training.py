@@ -5,7 +5,7 @@ Per batch the trainer wires
     rows   = gather(code logits, batch symbols)
     relaxed = softmax(rows / tau)
     sel    = straight_through(relaxed)        # optional but on by default
-    v      = compose(sel, codebook)
+    v      = compose_relaxed(sel, codebook)   # B @ C for the sum families
     loss   = task(v or guidance-mixed v) + gamma_t * entropy + guidance terms
 
 then takes one optimizer step on every parameter group (code logits, codebook,
@@ -93,9 +93,6 @@ class TrainConfig:
     use_straight_through: bool = True
     grad_clip: float = 5.0
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -248,9 +245,7 @@ class Trainer:
             self.params.update(self.encoder.parameters())
 
         if cfg.optimizer == "adam":
-            self.opt = Adam(
-                self.params, cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-            )
+            self.opt = Adam(self.params, cfg.learning_rate)
         else:
             self.opt = Sgd(self.params, cfg.learning_rate)
 
@@ -301,11 +296,9 @@ class Trainer:
         cfg, g = self.cfg, self.cfg.guidance
         n_sym = batch.symbols.size
         if self.frozen_table is not None:
-            # Constant one-hot rows through the matmul path: the same forward as
-            # compose_digits, but the digit tables keep a dense gradient.
-            digits = self.frozen_table.codes[batch.symbols]
-            one_hot = np.eye(self.code_cfg.alphabet_size)[digits]
-            v = compose_relaxed(Tensor(one_hot, op="const"), self.book)
+            # compose_digits reads the digit tensor through a reshape, so its
+            # gradient stays dense and the whole tensor takes the Adam update.
+            v = compose_digits(self.frozen_table.codes[batch.symbols], self.book)
             relaxed = None
             logit_rows = None
         else:

@@ -95,7 +95,7 @@ def _op_cases(rng: np.random.Generator):
     mix_nm = Tensor(rng.normal(size=(n, m)), op="leaf", name="mix_nm")
     mix_idx = Tensor(rng.normal(size=(m + 2, n)), op="leaf", name="mix_idx")
     mix_flat = Tensor(rng.normal(size=(m * n,)), op="leaf", name="mix_flat")
-    mix_cat = Tensor(rng.normal(size=(m, 2 * n)), op="leaf", name="mix_cat")
+    rng.normal(size=(m, 2 * n))  # keeps every later case on the same random instances
 
     def through(op_out, mix):
         return ad.tsum(ad.multiply(op_out, mix))
@@ -111,14 +111,12 @@ def _op_cases(rng: np.random.Generator):
         ("gather_rows", lambda: through(ad.gather_rows(a, idx), mix_idx), [a]),
         ("select", lambda: through(ad.select(stack, 1), mix_mn), [stack]),
         ("reshape", lambda: through(ad.reshape(a, (m * n,)), mix_flat), [a]),
-        ("concat", lambda: through(ad.concat([a, b], axis=1), mix_cat), [a, b]),
         ("softmax_t", lambda: through(ad.softmax_t(a, tau), mix_mn), [a]),
         ("sigmoid", lambda: through(ad.sigmoid(a), mix_mn), [a]),
         ("tanh", lambda: through(ad.tanh(a), mix_mn), [a]),
         ("relu", lambda: through(ad.relu(edged), mix_mn), [edged]),
         ("log", lambda: through(ad.log(pos), mix_mn), [pos]),
         ("tsum", lambda: ad.tsum(a), [a]),
-        ("tmean", lambda: ad.tmean(ad.multiply(a, mix_mn)), [a]),
         ("squared_error", lambda: ad.squared_error(a, b), [a, b]),
         ("cross_entropy", lambda: ad.cross_entropy_logits(ad.matmul(a, w), labels), [a, w]),
         ("entropy_reg", lambda: entropy_regularizer(ad.softmax_t(logits3, tau)), [logits3]),

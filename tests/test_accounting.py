@@ -23,8 +23,6 @@ class TestDigitBits:
     def test_powers_of_two(self):
         assert acc.bits_per_digit(2) == 1
         assert acc.bits_per_digit(32) == 5
-        assert acc.is_power_of_two(32)
-        assert not acc.is_power_of_two(6)
 
 
 class TestMinCodeLength:

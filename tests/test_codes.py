@@ -17,8 +17,6 @@ from codepress.codes import (
     init_logits,
     load_code_table,
     save_code_table,
-    straight_through,
-    tempering_softmax,
 )
 
 
@@ -54,25 +52,15 @@ class TestRelaxation:
         assert logits.data.shape == (50, 3, 8)
         assert np.max(np.abs(logits.data)) < 0.1  # near-zero start
 
-    def test_tempering_softmax_matches_core_op(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 2, 3)))
-        assert np.array_equal(tempering_softmax(x, 0.5).data, ad.softmax_t(x, 0.5).data)
-
     def test_low_tau_approaches_one_hot(self):
         x = Tensor([[[1.0, 0.5, 0.0]]])
-        hot = tempering_softmax(x, 1e-3).data
+        hot = ad.softmax_t(x, 1e-3).data
         assert hot[0, 0, 0] > 1.0 - 1e-12
-
-    def test_straight_through_requires_simplex_rows(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            straight_through(Tensor([[0.5, 0.2]]))
-        with pytest.raises(ValueError, match="negative"):
-            straight_through(Tensor([[-0.5, 1.5]]))
 
     def test_straight_through_on_relaxed_rows(self):
         x = Tensor(np.random.default_rng(2).normal(size=(5, 2, 4)))
-        relaxed = tempering_softmax(x, 1.0)
-        hard = straight_through(relaxed)
+        relaxed = ad.softmax_t(x, 1.0)
+        hard = ad.straight_through(relaxed)
         assert np.array_equal(hard.data, ad.hard_one_hot(relaxed.data))
 
 

@@ -1,7 +1,11 @@
 """Composer families: hand-computed outputs, gradient checks, factorization."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codepress import autodiff as ad
 from codepress.autodiff import Tensor
@@ -10,14 +14,12 @@ from codepress.composer import (
     CodeBook,
     ComposerKind,
     build_factorization,
-    compose,
     compose_batch,
     compose_digits,
     compose_relaxed,
     factorization_equivalence_check,
     init_codebook,
     load_codebook,
-    one_hot_selection,
     save_codebook,
 )
 
@@ -69,19 +71,24 @@ def random_table(rng, n=10, k=3, d=2) -> CodeTable:
     )
 
 
+def one_hot(codes: np.ndarray, k: int) -> Tensor:
+    """Exact one-hot (batch, code_length, k) selection rows for digit rows."""
+    return Tensor(np.eye(k)[codes])
+
+
 class TestComposeExamples:
     def test_single_position_is_row_lookup(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        book = CodeBook(kind=ComposerKind.LINEAR, tables=[Tensor(w)])
-        sel = Tensor([[0.0, 0.0, 1.0]])
-        assert np.array_equal(compose(sel, book).data, w[2])
+        book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(w[None]))
+        sel = Tensor([[[0.0, 0.0, 1.0]]])
+        assert np.array_equal(compose_relaxed(sel, book).data, [w[2]])
 
     def test_two_position_sum_by_hand(self):
-        w1 = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        w2 = Tensor([[1.0, 1.0], [2.0, 3.0]])
-        book = CodeBook(kind=ComposerKind.LINEAR, tables=[w1, w2])
-        sel = Tensor([[1.0, 0.0], [0.0, 1.0]])  # code (0, 1)
-        assert np.array_equal(compose(sel, book).data, [3.0, 3.0])
+        w1 = [[1.0, 0.0], [0.0, 1.0]]
+        w2 = [[1.0, 1.0], [2.0, 3.0]]
+        book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor([w1, w2]))
+        sel = Tensor([[[1.0, 0.0], [0.0, 1.0]]])  # code (0, 1)
+        assert np.array_equal(compose_relaxed(sel, book).data, [[3.0, 3.0]])
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_weights_compose_to_zero(self, kind):
@@ -111,9 +118,8 @@ class TestComposeExamples:
         book = random_book(kind, rng)
         table = random_table(rng, n=20)
         batch = compose_batch(table, book).data
-        sel = one_hot_selection(table)
         for i in range(20):
-            single = compose(Tensor(sel.data[i]), book).data
+            single = compose_relaxed(one_hot(table.codes[i : i + 1], 3), book).data[0]
             assert np.allclose(batch[i], single, atol=1e-14)
 
     def test_identical_codes_identical_rows(self):
@@ -131,7 +137,7 @@ class TestGatherMatmulAgreement:
         book = random_book(kind, rng, k=5, d=3, dprime=4, out=4)
         table = random_table(rng, n=40, k=5, d=3)
         via_gather = compose_batch(table, book).data
-        via_matmul = compose_relaxed(one_hot_selection(table), book).data
+        via_matmul = compose_relaxed(one_hot(table.codes, 5), book).data
         assert np.array_equal(via_gather, via_matmul)
 
 
@@ -144,7 +150,7 @@ class TestLinearity:
         sel = ad.softmax_t(Tensor(rng.normal(size=(6, d, k))), 1.0)
 
         def book_of(ws):
-            return CodeBook(kind=ComposerKind.LINEAR, tables=[Tensor(w) for w in ws])
+            return CodeBook(kind=ComposerKind.LINEAR, table=Tensor(np.stack(ws)))
 
         lhs = compose_relaxed(sel, book_of([a + b for a, b in zip(w1, w2)])).data
         rhs = compose_relaxed(sel, book_of(w1)).data + compose_relaxed(sel, book_of(w2)).data
@@ -192,9 +198,10 @@ class TestFactorization:
     def test_zero_codebook_gives_zero(self):
         rng = np.random.default_rng(11)
         book = random_book(ComposerKind.LINEAR, rng, out=3, dprime=3)
-        for t in book.tables:
-            t.data = np.zeros_like(t.data)
         table = random_table(rng)
+        assert compose_batch(table, book).data.any()
+        book.table.data = np.zeros_like(book.table.data)
+        assert not compose_batch(table, book).data.any()  # the write reached the composer
         assert factorization_equivalence_check(table, book) == 0.0
 
     def test_binary_selector_structure(self):
@@ -269,15 +276,17 @@ class TestInitAndShapes:
         rng = np.random.default_rng(19)
         tied = init_codebook(3, 2, 4, 4, ComposerKind.LSTM, np.random.default_rng(7),
                              tie_output_gate=True)
-        untied = init_codebook(3, 2, 4, 4, ComposerKind.LSTM, np.random.default_rng(7))
+        untied = init_codebook(3, 2, 4, 4, ComposerKind.LSTM, np.random.default_rng(8))
+        table = random_table(rng, n=8, k=3, d=2)
+        assert not np.array_equal(
+            compose_batch(table, tied).data, compose_batch(table, untied).data
+        )
         # copy shared weights, then force the untied o-gate to equal the t-gate
         for name in ("u_t", "u_i", "u_m"):
             untied.extras[name].data = tied.extras[name].data.copy()
-        for j, t in enumerate(tied.tables):
-            untied.tables[j].data = t.data.copy()
+        untied.table.data = tied.table.data.copy()
         untied.extras["u_o"].data = tied.extras["u_t"].data.copy()
         untied.extras["b_o"].data = tied.extras["b_t"].data.copy()
-        table = random_table(rng, n=8, k=3, d=2)
         assert np.array_equal(
             compose_batch(table, tied).data, compose_batch(table, untied).data
         )
@@ -361,3 +370,132 @@ class TestComposeDigits:
         book = random_book(ComposerKind.LINEAR, rng)
         with pytest.raises(ValueError, match="digits"):
             compose_digits(np.array([[0, 9]]), book)
+
+
+def per_position_compose(book: CodeBook, contribs: list[Tensor]) -> Tensor:
+    """The composition as written before the single digit-vector tensor: D
+    per-position contributions folded by a sequential sum (lstm: the
+    recurrence), then the family's head."""
+    ex = book.extras
+    if book.kind is ComposerKind.LSTM:
+        u_o, b_o = (ex["u_t"], ex["b_t"]) if book.tie_output_gate else (ex["u_o"], ex["b_o"])
+        h = Tensor(np.zeros(contribs[0].data.shape))
+        m = Tensor(np.zeros(contribs[0].data.shape))
+        total = None
+        for e in contribs:
+            t_gate = ad.sigmoid(ad.add(e + h @ ex["u_t"], ex["b_t"]))
+            i_gate = ad.sigmoid(ad.add(e + h @ ex["u_i"], ex["b_i"]))
+            o_gate = ad.sigmoid(ad.add(e + h @ u_o, b_o))
+            candidate = ad.tanh(ad.add(e + h @ ex["u_m"], ex["b_m"]))
+            m = t_gate * m + i_gate * candidate
+            h = o_gate * ad.tanh(m)
+            total = h if total is None else total + h
+    else:
+        total = contribs[0]
+        for c in contribs[1:]:
+            total = total + c
+    if book.kind is ComposerKind.HIDDEN:
+        hidden = ad.relu(ad.add(total @ ex["w_hidden"], ex["b_hidden"]))
+        return ad.add(hidden @ ex["w_out"], ex["b_out"])
+    if book.projection is not None:
+        total = total @ book.projection.T
+    return total
+
+
+class TestPerPositionEquivalence:
+    """compose_relaxed and compose_digits on the (D, K, d') tensor agree with
+    the per-position path (D separate tables, select + matmul + sequential
+    sum), forward and gradients, to 1e-12."""
+
+    TOL = 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        k=st.integers(2, 5),
+        d=st.integers(1, 4),
+        dprime=st.integers(1, 5),
+        out=st.integers(1, 6),
+        hidden=st.integers(1, 5),
+        batch=st.integers(1, 6),
+        tied=st.booleans(),
+        relaxed=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_per_position_tables(self, kind, k, d, dprime, out, hidden, batch,
+                                         tied, relaxed, seed):
+        rng = np.random.default_rng(seed)
+        book = init_codebook(k, d, dprime, out, kind, rng, hidden_width=hidden,
+                             tie_output_gate=tied)
+        tables = [Tensor(block.copy()) for block in book.table.data]
+        digits = rng.integers(0, k, (batch, d))
+        logits = rng.normal(size=(batch, d, k))
+        sel_rows = ad.softmax_t(Tensor(logits), 1.0).data if relaxed else np.eye(k)[digits]
+        mix = Tensor(rng.normal(size=(batch, book.embed_dim)))
+        extras = [p for name, p in book.parameters().items() if name != "table"]
+
+        def grads(out_tensor, wrt):
+            for p in wrt:
+                p.grad = None
+            ad.tsum(ad.multiply(out_tensor, mix)).backward()
+            return [p.grad.copy() for p in wrt]
+
+        sel = Tensor(sel_rows)
+        new = compose_relaxed(sel, book)
+        new_grads = grads(new, [sel, book.table, *extras])
+        ref_sel = Tensor(sel_rows)
+        ref = per_position_compose(book, [ad.select(ref_sel, j) @ tables[j] for j in range(d)])
+        ref_grads = grads(ref, [ref_sel, *tables, *extras])
+        ref_grads = [ref_grads[0], np.stack(ref_grads[1 : d + 1]), *ref_grads[d + 1 :]]
+        np.testing.assert_allclose(new.data, ref.data, rtol=0, atol=self.TOL)
+        for got, want in zip(new_grads, ref_grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.TOL)
+
+        new = compose_digits(digits, book)
+        new_grads = grads(new, [book.table, *extras])
+        ref = per_position_compose(
+            book, [ad.gather_rows(tables[j], digits[:, j]) for j in range(d)]
+        )
+        ref_grads = grads(ref, [*tables, *extras])
+        ref_grads = [np.stack(ref_grads[:d]), *ref_grads[d:]]
+        np.testing.assert_allclose(new.data, ref.data, rtol=0, atol=self.TOL)
+        for got, want in zip(new_grads, ref_grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_parameter_for_the_digit_vectors(self, kind):
+        book = random_book(kind, np.random.default_rng(27))
+        params = book.parameters()
+        assert params["table"] is book.table
+        assert book.table.data.shape == (2, 3, 3)
+        assert not any(name.startswith("table_") for name in params)
+
+    def test_per_position_views_are_read_only(self):
+        book = random_book(ComposerKind.LINEAR, np.random.default_rng(28))
+        views = book.tables
+        assert len(views) == book.code_length
+        for j, view in enumerate(views):
+            assert np.array_equal(view.data, book.table.data[j])
+            with pytest.raises(ValueError):
+                view.data[0, 0] = 1.0
+        assert book.table.data.flags.writeable
+
+
+# SHA-256 of codebook.bin for init_codebook(4, 3, 5, 6, kind, default_rng(0),
+# hidden_width=7), as written by the per-position tables before the single
+# digit-vector tensor; the stacked row-major tensor must serialize identically.
+GOLDEN_CODEBOOK_SHA256 = {
+    ("linear-sum", False): "19399903158c617efd0173cd0d1a8797d174fd9f6baab889478d1b9f39abd78f",
+    ("linear-hidden", False): "217bb0826ade32964643c06ac2b16074df162eeb97d80bb3047cda290c6cb478",
+    ("lstm", False): "6a847529fb25c0b3c00ace64774219527ea89babe0ff0186ded7cb164e02b632",
+    ("lstm", True): "5a75f57a71260f0410831bc93a544985a491e54ef380358ab1936dc1f9caa55b",
+}
+
+
+@pytest.mark.parametrize("kind, tied", list(GOLDEN_CODEBOOK_SHA256))
+def test_codebook_bytes_match_golden(tmp_path, kind, tied):
+    book = init_codebook(4, 3, 5, 6, kind, np.random.default_rng(0), hidden_width=7,
+                         tie_output_gate=tied)
+    path = tmp_path / "codebook.bin"
+    save_codebook(book, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CODEBOOK_SHA256[kind, tied]

@@ -126,7 +126,7 @@ def small_instance(seed, kind=ComposerKind.LINEAR):
 
 class TestAutoencoderLoss:
     def test_zero_codebook_zero_embedding_is_exactly_zero(self):
-        book = CodeBook(kind=ComposerKind.LINEAR, tables=[Tensor(np.zeros((2, 1)))])
+        book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(np.zeros((1, 2, 1))))
         enc = zeroed_encoder(1, 2, 1, [0.0, 0.0])
         assert autoencoder_loss(np.zeros((3, 1)), enc, book, 1.0).item() == 0.0
 
@@ -139,7 +139,7 @@ class TestAutoencoderLoss:
         z = logits / 0.8
         probs = np.exp(z - z.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
-        recon = sum(probs[:, j] @ book.tables[j].data for j in range(2))
+        recon = sum(probs[:, j] @ book.table.data[j] for j in range(2))
         assert got == pytest.approx(((recon - u) ** 2).sum(), rel=1e-12)
 
     def test_invariant_to_symbol_order(self):
@@ -174,7 +174,7 @@ class TestDistillationLoss:
 
     def test_perfect_match_gives_zero(self):
         # g(u) == logits and f(logits) == u by construction
-        book = CodeBook(kind=ComposerKind.LINEAR, tables=[Tensor(np.array([[0.7], [0.7]]))])
+        book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(np.array([[[0.7], [0.7]]])))
         enc = zeroed_encoder(1, 2, 1, [0.3, -0.3])
         logits = Tensor(np.array([[[0.3, -0.3]]]))
         u = np.array([[0.7]])
@@ -182,7 +182,7 @@ class TestDistillationLoss:
 
     def test_hand_built_residuals(self):
         # embed residual 0.25, logit residual 0.5, alpha=1, beta=2 -> 1.25
-        book = CodeBook(kind=ComposerKind.LINEAR, tables=[Tensor(np.array([[1.0], [1.0]]))])
+        book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(np.array([[[1.0], [1.0]]])))
         enc = zeroed_encoder(1, 2, 1, [0.5, -0.5])
         logits = Tensor(np.zeros((1, 1, 2)))
         u = np.array([[1.5]])

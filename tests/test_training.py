@@ -7,7 +7,7 @@ from codepress import autodiff as ad
 from codepress.autodiff import Tensor
 from codepress.baselines import random_codes
 from codepress.codes import CodeConfig, extract_codes
-from codepress.composer import ComposerKind, compose_relaxed, one_hot_selection
+from codepress.composer import ComposerKind, compose_relaxed
 from codepress.datasets import clustered_embeddings
 from codepress.guidance import GuidanceConfig
 from codepress.tasks import ReconstructionTask
@@ -167,7 +167,7 @@ class TestTrainerWiring:
         norms = tr.last_grad_norms
         assert norms["code_logits"] > 0
         assert norms["odg_u"] > 0
-        assert any(k.startswith("table_") and n > 0 for k, n in norms.items())
+        assert norms["table"] > 0
         assert any(k.startswith("u_") and n > 0 for k, n in norms.items())
 
     def test_pdg_trains_encoder(self):
@@ -252,9 +252,7 @@ class TestFit:
         task = make_task(seed=7)
         a = fit(task, CODE4, ComposerKind.LINEAR, tiny_cfg(seed=0))
         b = fit(make_task(seed=7), CODE4, ComposerKind.LINEAR, tiny_cfg(seed=1))
-        assert not np.array_equal(
-            a.book.tables[0].data, b.book.tables[0].data
-        )
+        assert not np.array_equal(a.book.table.data, b.book.table.data)
 
     def test_loss_descends_on_reconstruction(self):
         rng = np.random.default_rng(11)
@@ -308,13 +306,13 @@ class TestFit:
         assert np.array_equal(result.table.codes, frozen.codes)
         tr = Trainer(task, CODE4, ComposerKind.LINEAR, cfg, frozen_table=frozen)
         assert "code_logits" not in tr.params
-        before = tr.book.tables[0].data.copy()
+        before = tr.book.table.data.copy()
         tr.train_epoch()
-        assert not np.array_equal(tr.book.tables[0].data, before)
+        assert not np.array_equal(tr.book.table.data, before)
 
     def test_one_hot_selection_path_matches_gather_path_after_fit(self):
         task = make_task(seed=6)
         result = fit(task, CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=2))
-        sel = one_hot_selection(result.table)
+        sel = Tensor(np.eye(result.table.alphabet_size)[result.table.codes])
         via_matmul = compose_relaxed(sel, result.book).data
         assert np.array_equal(result.embedding_matrix(), via_matmul)
