@@ -4,100 +4,34 @@
 Trains a full (uncompressed) embedding model, a coded embedding layer learned
 end to end, and re-scores product-quantized and 8-bit scalar-quantized copies
 of the full table through its own classifier head.  Prints one table with
-storage bits and validation accuracy per method.
+storage bits and validation accuracy per method.  Every option is a parameter
+of ``codepress.sweeps.compression_comparison`` and takes its default.
 
 Example:
     python3 scripts/run_compression_table.py --alphabet 16 --length 4
 """
 
 import argparse
-from dataclasses import replace
+import inspect
 
-import numpy as np
-
-from codepress.baselines import fit_dense_embedding, product_quantize, scalar_quantize
-from codepress.codes import CodeConfig
-from codepress.datasets import marker_corpus
-from codepress.reporting import build_report, save_reports, text_table, verify_accounting
-from codepress.tasks import ClassificationTask
-from codepress.training import TrainConfig, fit
+from codepress.composer import ComposerKind
+from codepress.reporting import save_reports, text_table
+from codepress.sweeps import compression_comparison
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--vocab-size", type=int, default=2000)
-    ap.add_argument("--embed-dim", type=int, default=32)
-    ap.add_argument("--docs", type=int, default=2000)
-    ap.add_argument("--doc-len", type=int, default=20)
-    ap.add_argument("--alphabet", type=int, default=16)
-    ap.add_argument("--length", type=int, default=4)
-    ap.add_argument("--composer", default="linear-sum",
-                    choices=["linear-sum", "linear-hidden", "lstm"])
-    ap.add_argument("--subspaces", type=int, default=4)
-    ap.add_argument("--centroids", type=int, default=16)
-    ap.add_argument("--scalar-bits", type=int, default=8)
-    ap.add_argument("--epochs", type=int, default=8)
-    ap.add_argument("--batch-size", type=int, default=64)
-    ap.add_argument("--learning-rate", type=float, default=0.01)
-    ap.add_argument("--seed", type=int, default=0)
+    for name, param in inspect.signature(compression_comparison).parameters.items():
+        choices = [kind.value for kind in ComposerKind] if name == "composer" else None
+        ap.add_argument("--" + name.replace("_", "-"), type=type(param.default),
+                        default=param.default, choices=choices)
     ap.add_argument("--out", default="", help="also write reports as JSON lines")
-    args = ap.parse_args()
+    args = vars(ap.parse_args())
+    out = args.pop("out")
 
-    vocab, dim = args.vocab_size, args.embed_dim
-    corpus = marker_corpus(np.random.default_rng(args.seed), vocab_size=vocab,
-                           n_docs=args.docs, doc_len=args.doc_len)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                      learning_rate=args.learning_rate, seed=args.seed)
-
-    dense_task = ClassificationTask(corpus, dim, np.random.default_rng(args.seed + 1),
-                                    val_fraction=0.2)
-    dense = fit_dense_embedding(dense_task, cfg)
-    acc_full = dense.evaluate()["val_accuracy"]
-
-    kd_task = ClassificationTask(corpus, dim, np.random.default_rng(args.seed + 2),
-                                 val_fraction=0.2)
-    code_cfg = CodeConfig(vocab_size=vocab, alphabet_size=args.alphabet,
-                          code_length=args.length, code_embed_dim=dim,
-                          allow_lossy=True)
-    kd = fit(kd_task, code_cfg, args.composer, replace(cfg, epochs=args.epochs + 2))
-    acc_kd = kd.evaluate()["val_accuracy"]
-    kd_extra = kd.book.extra_param_count()
-
-    pq = product_quantize(dense.matrix, args.subspaces, args.centroids,
-                          np.random.default_rng(args.seed + 3))
-    pq_rows = pq.reconstruct()
-    acc_pq = dense_task.evaluate(lambda ids: pq_rows[np.asarray(ids)])["val_accuracy"]
-
-    sq = scalar_quantize(dense.matrix, args.scalar_bits)
-    acc_sq = dense_task.evaluate(lambda ids: sq.quantized[np.asarray(ids)])["val_accuracy"]
-
-    reports = [
-        build_report("full", {"family": "full", "vocab_size": vocab, "embed_dim": dim},
-                     metrics={"val_accuracy": acc_full}),
-        build_report(
-            f"kd({args.alphabet}x{args.length},{args.composer})",
-            {"family": "kd", "vocab_size": vocab, "embed_dim": dim,
-             "alphabet_size": args.alphabet, "code_length": args.length,
-             "digit_dim": dim, "extra_params": kd_extra},
-            metrics={"val_accuracy": acc_kd},
-        ),
-        build_report(
-            f"pq({args.subspaces}x{args.centroids})",
-            {"family": "pq", "vocab_size": vocab, "embed_dim": dim,
-             "subspaces": args.subspaces, "n_centroids": args.centroids},
-            metrics={"val_accuracy": acc_pq},
-        ),
-        build_report(
-            f"scalar({args.scalar_bits}bit)",
-            {"family": "scalar", "vocab_size": vocab, "embed_dim": dim,
-             "bits_per_value": args.scalar_bits},
-            metrics={"val_accuracy": acc_sq},
-        ),
-    ]
-    for report in reports:
-        verify_accounting(report)
-    if args.out:
-        save_reports(args.out, reports)
+    reports = compression_comparison(**args)
+    if out:
+        save_reports(out, reports)
     print(text_table(reports))
     return 0
 

@@ -11,7 +11,6 @@ from .accounting import (
     code_bits,
     coded_layer_bits,
     composer_params,
-    compression_ratio,
     dense_layer_bits,
     min_code_length,
     no_collision_probability,

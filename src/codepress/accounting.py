@@ -58,37 +58,9 @@ def coded_layer_bits(
     )
 
 
-def dense_layer_bits(
-    vocab_size: int, embed_dim: int, per_symbol_overhead: bool = False
-) -> int:
-    """Baseline storage for a dense float32 table: 32 * N * d.
-
-    ``per_symbol_overhead`` adds one extra float per row (32 * N * (1 + d)),
-    for conventions that charge a per-row scale or id slot.
-    """
-    cols = embed_dim + 1 if per_symbol_overhead else embed_dim
-    return FLOAT_BITS * vocab_size * cols
-
-
-def compression_ratio(
-    vocab_size: int,
-    embed_dim: int,
-    alphabet_size: int,
-    code_length: int,
-    code_embed_dim: int,
-    extra_params: int = 0,
-    count_composer: bool = True,
-    per_symbol_overhead: bool = False,
-) -> float:
-    """dense bits / coded bits; ``count_composer=False`` charges codes only."""
-    dense = dense_layer_bits(vocab_size, embed_dim, per_symbol_overhead)
-    if count_composer:
-        coded = coded_layer_bits(
-            vocab_size, alphabet_size, code_length, code_embed_dim, extra_params
-        )
-    else:
-        coded = code_bits(vocab_size, alphabet_size, code_length)
-    return dense / coded
+def dense_layer_bits(vocab_size: int, embed_dim: int) -> int:
+    """Baseline storage for a dense float32 table: 32 * N * d."""
+    return FLOAT_BITS * vocab_size * embed_dim
 
 
 def no_collision_probability(

@@ -83,12 +83,6 @@ class Tensor:
     def T(self) -> "Tensor":
         return transpose(self)
 
-    def select(self, index: int) -> "Tensor":
-        return select(self, index)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return reshape(self, shape)
-
     def backward(self) -> None:
         """Reverse accumulation from this scalar into .grad of all ancestors."""
         _backprop(self, topo_order(self))

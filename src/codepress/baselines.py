@@ -1,8 +1,10 @@
 """Comparison methods: low-rank factorization, product quantization, scalar
 quantization, random codes, and two-stage pretrained codes.
 
-Every method reports storage through the same accounting helpers as the coded
-layer, so bit comparisons across methods are internally consistent.
+The ``evaluate_*`` wrappers return a config echo, not storage figures:
+``reporting.build_report`` derives every method's bits from its echo through
+the same accounting as the coded layer, so bit comparisons across methods are
+internally consistent.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import accounting, autodiff as ad
 from .autodiff import Tensor
-from .codes import CodeConfig, CodeTable, extract_codes
+from .codes import CodeConfig, CodeTable
 from .composer import CodeBook, ComposerKind
 from .tasks import ReconstructionTask
 from .training import Adam, FitResult, Sgd, TrainConfig, fit
@@ -382,8 +384,7 @@ def pretrained_codes(
 class QuantizationResult:
     method: str
     reconstruction: np.ndarray
-    params_count: int
-    bits: int
+    config: dict  # config echo; reporting.build_report derives storage from it
     mse: float
 
 
@@ -392,26 +393,26 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff * diff).mean())
 
 
-def evaluate_full(matrix: np.ndarray) -> QuantizationResult:
+def _echo(family: str, matrix: np.ndarray, **fields) -> dict:
     n, d = matrix.shape
+    return {"family": family, "vocab_size": n, "embed_dim": d, **fields}
+
+
+def evaluate_full(matrix: np.ndarray) -> QuantizationResult:
     return QuantizationResult(
         method="full",
         reconstruction=np.asarray(matrix, dtype=np.float64),
-        params_count=n * d,
-        bits=accounting.dense_layer_bits(n, d),
+        config=_echo("full", matrix),
         mse=0.0,
     )
 
 
 def evaluate_low_rank(matrix: np.ndarray, rank: int, **kwargs) -> QuantizationResult:
-    n, d = matrix.shape
-    factors = low_rank_fit(matrix, rank, **kwargs)
-    recon = factors.reconstruct()
+    recon = low_rank_fit(matrix, rank, **kwargs).reconstruct()
     return QuantizationResult(
         method=f"lowrank(r={rank})",
         reconstruction=recon,
-        params_count=n * rank + rank * d,
-        bits=low_rank_bits(n, d, rank),
+        config=_echo("lowrank", matrix, rank=rank),
         mse=_mse(recon, matrix),
     )
 
@@ -419,25 +420,20 @@ def evaluate_low_rank(matrix: np.ndarray, rank: int, **kwargs) -> QuantizationRe
 def evaluate_pq(
     matrix: np.ndarray, subspaces: int, n_centroids: int, rng: np.random.Generator
 ) -> QuantizationResult:
-    n, d = matrix.shape
-    pq = product_quantize(matrix, subspaces, n_centroids, rng)
-    recon = pq.reconstruct()
+    recon = product_quantize(matrix, subspaces, n_centroids, rng).reconstruct()
     return QuantizationResult(
         method=f"pq({subspaces}x{n_centroids})",
         reconstruction=recon,
-        params_count=n_centroids * d,
-        bits=pq_bits(n, d, subspaces, n_centroids),
+        config=_echo("pq", matrix, subspaces=subspaces, n_centroids=n_centroids),
         mse=_mse(recon, matrix),
     )
 
 
 def evaluate_scalar(matrix: np.ndarray, bits: int) -> QuantizationResult:
-    n, d = matrix.shape
     sq = scalar_quantize(matrix, bits)
     return QuantizationResult(
         method=f"scalar({bits}bit)",
         reconstruction=sq.reconstruct(),
-        params_count=n * d,
-        bits=scalar_bits(n, d, bits),
+        config=_echo("scalar", matrix, bits_per_value=bits),
         mse=_mse(sq.quantized, matrix),
     )

@@ -29,15 +29,15 @@ from .baselines import (
     pretrained_codes,
     random_codes,
 )
-from .codes import load_code_table, save_code_table
+from .codes import CodeConfig, load_code_table, save_code_table
 from .composer import compose_digits, load_codebook, save_codebook
 from .configfile import build_code_config, build_train_config, describe_defaults, parse_config
 from .datasets import clustered_embeddings, load_embeddings, make_vocab
 from .metrics import code_semantics_probe, nn_overlap
-from .reporting import build_report, save_reports, text_table, verify_accounting
+from .reporting import build_report, kd_config, save_reports, text_table
 from .sweeps import SWEEP_AXES, SweepBase, sweep
 from .tasks import ReconstructionTask
-from .training import fit
+from .training import TrainConfig, fit
 
 
 def _load_targets(settings: dict):
@@ -104,6 +104,14 @@ def cmd_fit_codes(args) -> int:
     return 0
 
 
+def _emit(reports, out: str) -> int:
+    """Write the reports as JSON lines if asked, and print their table."""
+    if out:
+        save_reports(out, reports)
+    print(text_table(reports))
+    return 0
+
+
 def cmd_eval(args) -> int:
     start = time.perf_counter()
     table = load_code_table(args.codes)
@@ -122,77 +130,43 @@ def cmd_eval(args) -> int:
     overlap = None
     if args.k > 0:
         overlap = nn_overlap(targets, embed_rows(np.arange(len(vocab))), args.k)
-    echo = {
-        "family": "kd",
-        "vocab_size": table.vocab_size,
-        "embed_dim": targets.shape[1],
-        "alphabet_size": table.alphabet_size,
-        "code_length": table.code_length,
-        "digit_dim": book.digit_dim,
-        "extra_params": book.extra_param_count(),
-        "composer": book.kind.value,
-    }
     report = build_report(
         method=f"kd({book.kind.value})",
-        config=echo,
+        config={**kd_config(table, book, targets.shape[1]), "composer": book.kind.value},
         metrics=scores,
         reconstruction_mse=scores["reconstruction_mse"],
         nn_overlap=overlap,
         wall_time_s=time.perf_counter() - start,
     )
-    verify_accounting(report)
-    if args.out:
-        save_reports(args.out, [report])
-    print(text_table([report]))
-    return 0
+    return _emit([report], args.out)
 
 
 def cmd_baseline(args) -> int:
     start = time.perf_counter()
     vocab, targets = load_embeddings(args.embeddings)
-    n, d = targets.shape
+    if args.method in ("random", "pretrained"):
+        return _cmd_code_baseline(args, vocab, targets, start)
     if args.method == "full":
         qr = evaluate_full(targets)
-        echo = {"family": "full", "vocab_size": n, "embed_dim": d}
     elif args.method == "lowrank":
         qr = evaluate_low_rank(targets, args.rank, seed=args.seed)
-        echo = {"family": "lowrank", "vocab_size": n, "embed_dim": d, "rank": args.rank}
     elif args.method == "pq":
         qr = evaluate_pq(targets, args.subspaces, args.centroids, np.random.default_rng(args.seed))
-        echo = {
-            "family": "pq",
-            "vocab_size": n,
-            "embed_dim": d,
-            "subspaces": args.subspaces,
-            "n_centroids": args.centroids,
-        }
-    elif args.method == "scalar":
+    else:  # scalar
         qr = evaluate_scalar(targets, args.bits)
-        echo = {"family": "scalar", "vocab_size": n, "embed_dim": d, "bits_per_value": args.bits}
-    elif args.method in ("random", "pretrained"):
-        return _cmd_code_baseline(args, vocab, targets, start)
-    else:
-        raise ValueError(f"unknown baseline method {args.method!r}")
     overlap = nn_overlap(targets, qr.reconstruction, args.k) if args.k > 0 else None
     report = build_report(
         method=qr.method,
-        config=echo,
+        config=qr.config,
         reconstruction_mse=qr.mse,
         nn_overlap=overlap,
         wall_time_s=time.perf_counter() - start,
     )
-    verify_accounting(report)
-    if args.out:
-        save_reports(args.out, [report])
-    print(text_table([report]))
-    return 0
+    return _emit([report], args.out)
 
 
 def _cmd_code_baseline(args, vocab, targets, start) -> int:
     """Frozen-random-code and two-stage pretrained-code baselines."""
-    from .codes import CodeConfig
-    from .training import TrainConfig
-
     n, d = targets.shape
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     if args.method == "random":
@@ -202,32 +176,19 @@ def _cmd_code_baseline(args, vocab, targets, start) -> int:
         result = fit(task, code_cfg, "linear-sum", cfg, frozen_table=table, symbols=vocab.symbols)
         tag = "random-codes"
     else:
-        table, stage1 = pretrained_codes(
+        table, result = pretrained_codes(
             targets, args.alphabet, args.length, "linear-sum", cfg=cfg, symbols=vocab.symbols
         )
-        result = stage1
         tag = "pretrained-codes"
     scores = result.evaluate()
-    echo = {
-        "family": "kd",
-        "vocab_size": n,
-        "embed_dim": d,
-        "alphabet_size": args.alphabet,
-        "code_length": args.length,
-        "digit_dim": result.book.digit_dim,
-        "extra_params": result.book.extra_param_count(),
-    }
     report = build_report(
         method=tag,
-        config=echo,
+        config=kd_config(table, result.book, d),
         metrics=scores,
         reconstruction_mse=scores["reconstruction_mse"],
         wall_time_s=time.perf_counter() - start,
     )
-    if args.out:
-        save_reports(args.out, [report])
-    print(text_table([report]))
-    return 0
+    return _emit([report], args.out)
 
 
 def cmd_sweep(args) -> int:
@@ -247,11 +208,7 @@ def cmd_sweep(args) -> int:
     for raw in args.values.split(","):
         raw = raw.strip()
         values.append(raw if args.axis == "composer" else int(raw))
-    reports = sweep(args.axis, values, base)
-    if args.out:
-        save_reports(args.out, reports)
-    print(text_table(reports))
-    return 0
+    return _emit(sweep(args.axis, values, base), args.out)
 
 
 def cmd_probe_codes(args) -> int:

@@ -8,7 +8,7 @@ of shape (vocab, code_length, alphabet); at inference they are frozen into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -102,18 +102,12 @@ class CodeBook:
         params.update(self.extras)
         return params
 
-    def table_param_count(self) -> int:
-        return self.table.data.size
-
     def extra_param_count(self) -> int:
         """Parameters beyond the digit-vector tensor (projection + family extras)."""
         n = sum(t.data.size for t in self.extras.values())
         if self.projection is not None:
             n += self.projection.data.size
         return n
-
-    def param_count(self) -> int:
-        return self.table_param_count() + self.extra_param_count()
 
 
 def _uniform(rng: np.random.Generator, shape, scale: float, name: str) -> Tensor:

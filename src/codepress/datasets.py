@@ -8,6 +8,8 @@ classification problem (each class owns a few exclusive marker tokens).
 
 from __future__ import annotations
 
+import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,35 +47,49 @@ def make_vocab(n: int, prefix: str = "tok") -> VocabTable:
 def load_embeddings(path) -> tuple[VocabTable, np.ndarray]:
     """Read a text embedding file: one `token v1 v2 ... vd` line per symbol.
 
-    Rejects ragged rows, non-numeric fields and duplicate tokens, always
-    naming the offending line.
+    Rejects non-UTF-8 bytes, ragged rows, non-numeric or non-finite values and
+    duplicate tokens with a ValueError that names the file and the offending
+    line.
     """
-    symbols: list[str] = []
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+    line_of: dict[str, int] = {}
     rows: list[list[float]] = []
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise ValueError(f"{path}:{lineno}: no embedding values on first row")
-            elif len(values) != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {dim} values, got {len(values)}"
-                )
-            try:
-                rows.append([float(v) for v in values])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
-            symbols.append(token)
-    if not symbols:
+    # newline=None splits lines exactly as reading the file in text mode does
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+            if dim == 0:
+                raise ValueError(f"{path}:{lineno}: no embedding values on first row")
+        elif len(values) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: expected {dim} values, got {len(values)}"
+            )
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite embedding value")
+        if token in line_of:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate token {token!r} (first on line {line_of[token]})"
+            )
+        line_of[token] = lineno
+        rows.append(row)
+    if not rows:
         raise ValueError(f"{path}: empty embedding file")
-    vocab = VocabTable(symbols)  # raises on duplicates
-    return vocab, np.array(rows, dtype=np.float64)
+    return VocabTable(list(line_of)), np.array(rows, dtype=np.float64)
 
 
 def save_embeddings(path, vocab: VocabTable, matrix: np.ndarray) -> None:

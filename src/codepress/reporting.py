@@ -57,6 +57,19 @@ def accounting_for(config: dict) -> tuple[int, int, float]:
     return params, bits, full_bits / bits
 
 
+def kd_config(table, book, embed_dim: int) -> dict:
+    """Config echo of a coded layer, read from its code table and codebook."""
+    return {
+        "family": "kd",
+        "vocab_size": table.vocab_size,
+        "embed_dim": embed_dim,
+        "alphabet_size": table.alphabet_size,
+        "code_length": table.code_length,
+        "digit_dim": book.digit_dim,
+        "extra_params": book.extra_param_count(),
+    }
+
+
 def build_report(
     method: str,
     config: dict,

@@ -1,4 +1,5 @@
-"""Configuration sweeps and the optimization-trick ablation ladder.
+"""Configuration sweeps, the optimization-trick ablation ladder, and the
+full / coded / quantized compression comparison.
 
 Each run in a sweep gets an independent seed derived from (base seed, run
 index), so runs are reproducible individually and reorderable collectively.
@@ -12,11 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .baselines import evaluate_full, evaluate_pq, evaluate_scalar, fit_dense_embedding
 from .codes import CodeConfig
 from .composer import DEFAULT_HIDDEN_WIDTH, ComposerKind
+from .datasets import marker_corpus
 from .guidance import GuidanceConfig
-from .reporting import RunReport, build_report
-from .tasks import ReconstructionTask
+from .reporting import RunReport, build_report, kd_config
+from .tasks import ClassificationTask, ReconstructionTask
 from .training import FitResult, TempSchedule, TrainConfig, fit
 
 SWEEP_AXES = ("alphabet_size", "code_length", "digit_dim", "composer")
@@ -73,25 +76,29 @@ def run_one(base: SweepBase, seed: int, **overrides) -> tuple[RunReport, FitResu
         pretrained=pretrained,
     )
     scores = result.evaluate()
-    echo = {
-        "family": "kd",
-        "vocab_size": task.vocab_size,
-        "embed_dim": task.embed_dim,
-        "alphabet_size": code_cfg.alphabet_size,
-        "code_length": code_cfg.code_length,
-        "digit_dim": code_cfg.code_embed_dim,
-        "extra_params": result.book.extra_param_count(),
-        "composer": str(settings["composer"]),
-        "seed": seed,
-    }
     report = build_report(
         method=f"kd({settings['composer']})",
-        config=echo,
+        config={
+            **kd_config(result.table, result.book, task.embed_dim),
+            "composer": str(settings["composer"]),
+            "seed": seed,
+        },
         metrics={"val_loss": result.best_val, **scores},
         reconstruction_mse=scores.get("reconstruction_mse"),
         wall_time_s=time.perf_counter() - start,
     )
     return report, result
+
+
+def _failed(method: str, exc: Exception, **echo) -> RunReport:
+    """Placeholder row for a run that raised: no storage, the error in its echo."""
+    return RunReport(
+        method=f"{method} FAILED",
+        config={"family": "kd", **echo, "error": str(exc)},
+        params_count=0,
+        bits=0,
+        compression_ratio=0.0,
+    )
 
 
 def sweep(axis: str, values, base: SweepBase) -> list[RunReport]:
@@ -105,13 +112,7 @@ def sweep(axis: str, values, base: SweepBase) -> list[RunReport]:
             report, _ = run_one(base, seed, **{axis: value})
             report.method = f"kd[{axis}={value}]"
         except Exception as exc:  # preserve partial results
-            report = RunReport(
-                method=f"kd[{axis}={value}] FAILED",
-                config={"family": "kd", "axis": axis, "value": str(value), "error": str(exc)},
-                params_count=0,
-                bits=0,
-                compression_ratio=0.0,
-            )
+            report = _failed(f"kd[{axis}={value}]", exc, axis=axis, value=str(value))
         reports.append(report)
     return reports
 
@@ -163,12 +164,66 @@ def run_ablation(base: SweepBase) -> list[RunReport]:
             report, _ = run_one(variant, cfg.seed)
             report.method = tag
         except Exception as exc:
-            report = RunReport(
-                method=f"{tag} FAILED",
-                config={"family": "kd", "variant": tag, "error": str(exc)},
-                params_count=0,
-                bits=0,
-                compression_ratio=0.0,
-            )
+            report = _failed(tag, exc, variant=tag)
         reports.append(report)
     return reports
+
+
+# -- compression comparison ------------------------------------------------------
+
+_KD_EXTRA_EPOCHS = 2  # the coded layer trains this many epochs beyond the dense one
+
+
+def compression_comparison(
+    vocab_size: int = 2000,
+    embed_dim: int = 32,
+    docs: int = 2000,
+    doc_len: int = 20,
+    alphabet: int = 16,
+    length: int = 4,
+    composer: str = "linear-sum",
+    subspaces: int = 4,
+    centroids: int = 16,
+    scalar_bits: int = 8,
+    epochs: int = 8,
+    batch_size: int = 64,
+    learning_rate: float = 0.01,
+    seed: int = 0,
+) -> list[RunReport]:
+    """Full, coded, product-quantized and scalar-quantized embedding layers on
+    the marker-token classification corpus, one report each, in that order.
+
+    The full table and the coded layer train on the task; the two quantized
+    copies of the full table are re-scored through the full model's own
+    classifier head, so their accuracy differences isolate the embedding
+    change.  Seeds ``seed`` .. ``seed + 3`` draw the corpus, the two task
+    splits and heads, and the PQ initialization.
+    """
+    corpus = marker_corpus(np.random.default_rng(seed), vocab_size=vocab_size,
+                           n_docs=docs, doc_len=doc_len)
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
+                      learning_rate=learning_rate, seed=seed)
+
+    dense_task = ClassificationTask(corpus, embed_dim, np.random.default_rng(seed + 1),
+                                    val_fraction=0.2)
+    dense = fit_dense_embedding(dense_task, cfg)
+
+    kd_task = ClassificationTask(corpus, embed_dim, np.random.default_rng(seed + 2),
+                                 val_fraction=0.2)
+    code_cfg = CodeConfig(vocab_size=vocab_size, alphabet_size=alphabet,
+                          code_length=length, code_embed_dim=embed_dim, allow_lossy=True)
+    kd = fit(kd_task, code_cfg, composer, replace(cfg, epochs=epochs + _KD_EXTRA_EPOCHS))
+
+    def rescored(qr) -> RunReport:
+        rows = qr.reconstruction
+        scores = dense_task.evaluate(lambda ids: rows[np.asarray(ids)])
+        return build_report(qr.method, qr.config, metrics={"val_accuracy": scores["val_accuracy"]})
+
+    return [
+        rescored(evaluate_full(dense.matrix)),
+        build_report(f"kd({alphabet}x{length},{composer})",
+                     kd_config(kd.table, kd.book, embed_dim),
+                     metrics={"val_accuracy": kd.evaluate()["val_accuracy"]}),
+        rescored(evaluate_pq(dense.matrix, subspaces, centroids, np.random.default_rng(seed + 3))),
+        rescored(evaluate_scalar(dense.matrix, scalar_bits)),
+    ]

@@ -19,13 +19,7 @@ import numpy as np
 
 from codepress import accounting, autodiff as ad
 from codepress.autodiff import Tensor
-from codepress.baselines import (
-    evaluate_full,
-    fit_dense_embedding,
-    product_quantize,
-    random_codes,
-    scalar_quantize,
-)
+from codepress.baselines import random_codes
 from codepress.cli import main as cli_main
 from codepress.codes import CodeConfig, entropy_regularizer, extract_codes
 from codepress.composer import (
@@ -35,7 +29,7 @@ from codepress.composer import (
     factorization_equivalence_check,
     init_codebook,
 )
-from codepress.datasets import clustered_embeddings, marker_corpus
+from codepress.datasets import clustered_embeddings
 from codepress.guidance import (
     autoencoder_loss,
     distillation_loss,
@@ -45,9 +39,9 @@ from codepress.guidance import (
     odg_mix,
 )
 from codepress.metrics import code_semantics_probe
-from codepress.reporting import build_report, text_table, verify_accounting
-from codepress.sweeps import ABLATION_ORDER, SweepBase, run_ablation
-from codepress.tasks import ClassificationTask, ReconstructionTask
+from codepress.reporting import text_table, verify_accounting
+from codepress.sweeps import ABLATION_ORDER, SweepBase, compression_comparison, run_ablation
+from codepress.tasks import ReconstructionTask
 from codepress.training import TrainConfig, Trainer, fit
 
 
@@ -505,55 +499,18 @@ def test_gate_09_ablation_ladder():
 
 def test_gate_10_compression_end_to_end():
     start = time.perf_counter()
-    vocab, dim = 2000, 32
-    corpus = marker_corpus(np.random.default_rng(0), vocab_size=vocab,
-                           n_docs=2000, doc_len=20)
-    cfg = TrainConfig(epochs=8, batch_size=64, learning_rate=0.01, seed=0)
-
-    dense_task = ClassificationTask(corpus, dim, np.random.default_rng(1),
-                                    val_fraction=0.2)
-    dense = fit_dense_embedding(dense_task, cfg)
-    acc_full = dense.evaluate()["val_accuracy"]
-
-    kd_task = ClassificationTask(corpus, dim, np.random.default_rng(2),
-                                 val_fraction=0.2)
-    code_cfg = CodeConfig(vocab_size=vocab, alphabet_size=16, code_length=4,
-                          code_embed_dim=dim, allow_lossy=True)
-    kd = fit(kd_task, code_cfg, "linear-sum",
-             replace(cfg, epochs=10))
-    acc_kd = kd.evaluate()["val_accuracy"]
-
-    # Quantized variants of the dense table, re-scored through its own head.
-    pq = product_quantize(dense.matrix, subspaces=4, n_centroids=16,
-                          rng=np.random.default_rng(3))
-    pq_rows = pq.reconstruct()
-    acc_pq = dense_task.evaluate(lambda ids: pq_rows[np.asarray(ids)])["val_accuracy"]
-    sq = scalar_quantize(dense.matrix, bits=8)
-    acc_sq = dense_task.evaluate(lambda ids: sq.quantized[np.asarray(ids)])["val_accuracy"]
-
-    reports = [
-        build_report("full", {"family": "full", "vocab_size": vocab, "embed_dim": dim},
-                     metrics={"val_accuracy": acc_full}),
-        build_report("kd(16x4)",
-                     {"family": "kd", "vocab_size": vocab, "embed_dim": dim,
-                      "alphabet_size": 16, "code_length": 4, "digit_dim": dim,
-                      "extra_params": 0},
-                     metrics={"val_accuracy": acc_kd}),
-        build_report("pq(4x16)",
-                     {"family": "pq", "vocab_size": vocab, "embed_dim": dim,
-                      "subspaces": 4, "n_centroids": 16},
-                     metrics={"val_accuracy": acc_pq}),
-        build_report("scalar(8bit)",
-                     {"family": "scalar", "vocab_size": vocab, "embed_dim": dim,
-                      "bits_per_value": 8},
-                     metrics={"val_accuracy": acc_sq}),
-    ]
+    # Corpus seed 0, task seeds 1 and 2, PQ seed 3; dense 8 epochs, kd 8 + 2.
+    reports = compression_comparison(
+        vocab_size=2000, embed_dim=32, docs=2000, doc_len=20, alphabet=16, length=4,
+        composer="linear-sum", subspaces=4, centroids=16, scalar_bits=8,
+        epochs=8, batch_size=64, learning_rate=0.01, seed=0,
+    )
     for r in reports:
         verify_accounting(r)
     print(text_table(reports))
 
-    full_bits = evaluate_full(dense.matrix).bits
-    kd_bits = reports[1].bits
+    acc_full, acc_kd, acc_pq, acc_sq = (r.metrics["val_accuracy"] for r in reports)
+    full_bits, kd_bits = reports[0].bits, reports[1].bits
     elapsed = time.perf_counter() - start
     ok = (
         acc_full >= 0.95

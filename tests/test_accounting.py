@@ -48,9 +48,6 @@ class TestLayerBits:
         assert acc.dense_layer_bits(10_000, 650) == 208_000_000
         assert acc.dense_layer_bits(10_000, 1500) == 480_000_000
 
-    def test_dense_with_per_symbol_overhead(self):
-        assert acc.dense_layer_bits(10, 4, per_symbol_overhead=True) == 32 * 10 * 5
-
     def test_code_only_bits(self):
         assert acc.code_bits(10_000, 32, 32) == 1_600_000
 
@@ -61,14 +58,6 @@ class TestLayerBits:
     def test_coded_layer_bits_by_hand(self):
         # N=100, K=4, D=2, d'=3: 100*2*2 code bits + 32*24 param bits
         assert acc.coded_layer_bits(100, 4, 2, 3) == 400 + 768
-
-    def test_compression_ratio_by_hand(self):
-        ratio = acc.compression_ratio(100, 10, 4, 2, 3)
-        assert ratio == 32_000 / 1168
-
-    def test_code_only_ratio(self):
-        ratio = acc.compression_ratio(100, 10, 4, 2, 3, count_composer=False)
-        assert ratio == 32_000 / 400
 
 
 class TestCollisions:

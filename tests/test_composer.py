@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codepress import autodiff as ad
+from codepress.accounting import composer_params
 from codepress.autodiff import Tensor
 from codepress.codes import CodeTable
 from codepress.composer import (
@@ -266,7 +267,7 @@ class TestInitAndShapes:
     def test_param_counts(self):
         rng = np.random.default_rng(18)
         linear = init_codebook(4, 3, 5, 5, ComposerKind.LINEAR, rng)
-        assert linear.param_count() == 4 * 3 * 5
+        assert composer_params(4, 3, 5, linear.extra_param_count()) == 4 * 3 * 5
         hidden = init_codebook(4, 3, 5, 7, ComposerKind.HIDDEN, rng, hidden_width=6)
         assert hidden.extra_param_count() == 5 * 6 + 6 + 6 * 7 + 7
         lstm = init_codebook(4, 3, 5, 5, ComposerKind.LSTM, rng)

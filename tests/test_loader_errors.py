@@ -1,6 +1,6 @@
-"""Malformed ``codes.txt`` and ``codebook.bin`` files: every one is rejected
-with a ValueError that names the file (and the line, for a codes.txt body
-line), so the CLI reports it instead of printing a traceback."""
+"""Malformed ``codes.txt``, ``codebook.bin`` and text embedding files: every
+one is rejected with a ValueError that names the file (and the line, for a
+text body line), so the CLI reports it instead of printing a traceback."""
 
 import re
 import struct
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from codepress.codes import CodeTable, load_code_table, save_code_table
 from codepress.composer import ComposerKind, init_codebook, load_codebook, save_codebook
+from codepress.datasets import load_embeddings, make_vocab, save_embeddings
 
 
 def write(tmp_path, name, content):
@@ -102,6 +103,24 @@ class TestCodebookErrors:
             load_codebook(path)
 
 
+class TestEmbeddingFileErrors:
+    def test_non_finite_value_names_line(self, tmp_path):
+        for bad in ("nan", "inf", "-Infinity", "1e999"):
+            path = write(tmp_path, "emb.txt", f"a 1 2\nb {bad} 3\n")
+            with pytest.raises(ValueError, match=names(path, 2) + ".*non-finite"):
+                load_embeddings(path)
+
+    def test_duplicate_token_names_both_lines(self, tmp_path):
+        path = write(tmp_path, "emb.txt", "a 1 2\nb 3 4\n\na 5 6\n")
+        with pytest.raises(ValueError, match=names(path, 4) + ".*duplicate token 'a'.*line 1"):
+            load_embeddings(path)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        path = write(tmp_path, "emb.txt", b"a 1 2\nb 3 4\n\xff 5 6\n")
+        with pytest.raises(ValueError, match=names(path, 3) + ".*UTF-8"):
+            load_embeddings(path)
+
+
 # -- fuzz: truncated, bit-flipped and header-mangled files ------------------------
 
 
@@ -147,3 +166,15 @@ def test_fuzzed_codebooks_load_or_name_the_file(tmp_path_factory, kind, seed, da
     raw = path.read_bytes()
     path.write_bytes(data.draw(mangled(raw, 36)))
     loads_or_names_file(load_codebook, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 50), data=st.data())
+def test_fuzzed_embedding_files_load_or_name_the_file(tmp_path_factory, seed, data):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+    path = tmp_path_factory.mktemp("fuzz") / "emb.txt"
+    save_embeddings(path, make_vocab(n), rng.normal(size=(n, d)))
+    raw = path.read_bytes()
+    path.write_bytes(data.draw(mangled(raw, raw.index(b"\n") + 1)))
+    loads_or_names_file(load_embeddings, path)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from codepress.codes import CodeTable
+from codepress.composer import ComposerKind, init_codebook
 from codepress.metrics import ProbeReport, code_semantics_probe, nn_overlap
 from codepress.reporting import (
     MISSING,
     RunReport,
     accounting_for,
     build_report,
+    kd_config,
     load_reports,
     save_reports,
     text_table,
@@ -149,13 +151,27 @@ class TestAccountingEcho:
         with pytest.raises(ValueError, match="family"):
             accounting_for({"vocab_size": 10, "embed_dim": 4})
 
+    def test_kd_config_reads_the_artifacts(self):
+        rng = np.random.default_rng(3)
+        table = CodeTable([f"s{i}" for i in range(12)], rng.integers(0, 4, (12, 3)), 4)
+        book = init_codebook(4, 3, 5, 7, ComposerKind.HIDDEN, rng, hidden_width=6)
+        config = kd_config(table, book, embed_dim=7)
+        assert config == {
+            "family": "kd", "vocab_size": 12, "embed_dim": 7, "alphabet_size": 4,
+            "code_length": 3, "digit_dim": 5, "extra_params": book.extra_param_count(),
+        }
+        params = accounting_for(config)[0]
+        assert params == sum(t.data.size for t in book.parameters().values())
+
     def test_all_families_have_formulas(self):
         base = {"vocab_size": 1000, "embed_dim": 64}
         full = accounting_for({**base, "family": "full"})
         assert full == (64_000, 32 * 64_000, 1.0)
         lowrank = accounting_for({**base, "family": "lowrank", "rank": 8})
+        assert lowrank[0] == 8 * (1000 + 64)
         assert lowrank[1] == 32 * 8 * 1064
         pq = accounting_for({**base, "family": "pq", "subspaces": 4, "n_centroids": 16})
+        assert pq[0] == 16 * 64  # centroid entries
         assert pq[1] == 1000 * 4 * 4 + 32 * 16 * 64
         scalar = accounting_for({**base, "family": "scalar", "bits_per_value": 8})
         assert scalar[1] == 1000 * 64 * 8 + 64
