@@ -279,3 +279,14 @@ class TestEvaluateWrappers:
         assert result.mse == pytest.approx(
             ((scalar_quantize(matrix, 8).quantized - matrix) ** 2).mean()
         )
+
+    def test_params_counts_are_stored_values(self):
+        matrix = np.random.default_rng(22).normal(size=(16, 6))
+
+        def stored_params(result) -> int:
+            return build_report(result.method, result.config).params_count
+
+        assert stored_params(evaluate_full(matrix)) == 16 * 6
+        assert stored_params(evaluate_low_rank(matrix, rank=2, iters=50)) == 2 * (16 + 6)
+        pq = evaluate_pq(matrix, 2, 3, rng=np.random.default_rng(1))
+        assert stored_params(pq) == 3 * 6  # centroid entries
