@@ -208,7 +208,13 @@ def cmd_sweep(args) -> int:
     for raw in args.values.split(","):
         raw = raw.strip()
         values.append(raw if args.axis == "composer" else int(raw))
-    return _emit(sweep(args.axis, values, base), args.out)
+    reports = sweep(args.axis, values, base)
+    _emit(reports, args.out)
+    failed = [r.config["value"] for r in reports if r.method.endswith(" FAILED")]
+    if failed:
+        print(f"sweep: {args.axis} failed for {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_probe_codes(args) -> int:

@@ -192,22 +192,96 @@ def _head(total: Tensor, book: CodeBook) -> Tensor:
     return total
 
 
-def _lstm_combine(contribs: list[Tensor], book: CodeBook) -> Tensor:
+def _digit_contributions(selection: Tensor, table: Tensor) -> Tensor:
+    """Every position's ``selection[:, j] @ table[j]`` as one (B, D, d') op:
+    a single batched (D, B, K) @ (D, K, d') product."""
+    sel = selection.data.transpose(1, 0, 2)
+    out = Tensor(np.matmul(sel, table.data).transpose(1, 0, 2), (selection, table),
+                 op="digit_contributions")
+
+    def _back():
+        g = out.grad.transpose(1, 0, 2)
+        selection.grad += np.matmul(g, table.data.transpose(0, 2, 1)).transpose(1, 0, 2)
+        table.grad += np.matmul(sel.transpose(0, 2, 1), g)
+
+    out._backward = _back
+    return out
+
+
+def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
+    """Summed hidden states of the lstm over the D positions of (B, D, d')
+    contributions, as one op with a hand-written backward through time.
+
+    Per position, with gate blocks [t, i, o, m] of ``z = e + h @ U + b``:
+    ``mem = sig(z_t) * mem + sig(z_i) * tanh(z_m)`` and
+    ``h = sig(z_o) * tanh(mem)``.  The gate matrices are concatenated into
+    one (d', 4d') ``U``; a tied output gate reuses ``u_t``/``b_t`` as its
+    block, so that block's gradient adds into them.  The forward adds and
+    rounds in the order of the per-node graph it replaces.
+    """
     ex = book.extras
-    u_o, b_o = (ex["u_t"], ex["b_t"]) if book.tie_output_gate else (ex["u_o"], ex["b_o"])
-    batch = contribs[0].data.shape[0]
-    h = _zeros((batch, book.digit_dim), "lstm_h0")
-    m = _zeros((batch, book.digit_dim), "lstm_m0")
-    h_sum = None
-    for e in contribs:
-        t_gate = ad.sigmoid(ad.add(e + h @ ex["u_t"], ex["b_t"]))
-        i_gate = ad.sigmoid(ad.add(e + h @ ex["u_i"], ex["b_i"]))
-        o_gate = ad.sigmoid(ad.add(e + h @ u_o, b_o))
-        candidate = ad.tanh(ad.add(e + h @ ex["u_m"], ex["b_m"]))
-        m = t_gate * m + i_gate * candidate
-        h = o_gate * ad.tanh(m)
-        h_sum = h if h_sum is None else h_sum + h
-    return _head(h_sum, book)
+    gates = ("t", "i", "t" if book.tie_output_gate else "o", "m")
+    us = [ex[f"u_{g}"] for g in gates]
+    bs = [ex[f"b_{g}"] for g in gates]
+    u = np.concatenate([p.data for p in us], axis=1)
+    bias = np.concatenate([p.data for p in bs])
+    x = contribs.data.transpose(1, 0, 2)  # (D, B, d'): position-major
+    length, batch, width = x.shape
+    # acts[j] starts as position j's input term and becomes its activations
+    acts = np.empty((length, batch, 4, width))
+    acts[:] = x[:, :, None, :]
+    z = acts.reshape(length, batch, 4 * width)
+    mem = np.zeros((length + 1, batch, width))  # mem[j] feeds position j
+    cell = np.empty((length, batch, width))  # tanh(mem[j + 1])
+    h = np.zeros((batch, width))
+    total = np.zeros((batch, width))
+    for j in range(length):
+        z[j] += h @ u
+        z[j] += bias  # after h @ U, as (e + h @ U) + b rounded per node
+        s = z[j, :, : 3 * width]
+        np.divide(1.0, 1.0 + np.exp(-s), out=s)
+        np.tanh(acts[j, :, 3], out=acts[j, :, 3])
+        t_gate, i_gate, o_gate, candidate = acts[j].transpose(1, 0, 2)
+        mem[j + 1] = t_gate * mem[j] + i_gate * candidate
+        np.tanh(mem[j + 1], out=cell[j])
+        h = o_gate * cell[j]
+        total += h
+    out = Tensor(total, (contribs, *us, *bs), op="lstm_recurrence")
+
+    def _back():
+        dz = np.empty_like(acts)
+        de = np.empty_like(cell)
+        dh = out.grad
+        dm = np.zeros((batch, width))
+        for j in reversed(range(length)):
+            a, d = acts[j], dz[j]
+            t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
+            dm = dm + dh * o_gate * (1.0 - cell[j] * cell[j])
+            np.multiply(dm, mem[j], out=d[:, 0])
+            np.multiply(dm, candidate, out=d[:, 1])
+            np.multiply(dh, cell[j], out=d[:, 2])
+            np.multiply(dm, i_gate, out=d[:, 3])
+            # d act / d z: s (1 - s) on the sigmoid blocks, 1 - g^2 on the tanh one
+            slope = a * (1.0 - a)
+            np.subtract(1.0, candidate * candidate, out=slope[:, 3])
+            d *= slope
+            d.sum(axis=1, out=de[j])
+            dm = dm * t_gate
+            if j:
+                dh = out.grad + d.reshape(batch, 4 * width) @ u.T
+        # h before each position: zero, then o * tanh(mem) of the one before
+        h_prev = np.zeros_like(cell)
+        np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
+        flat_dz = dz.reshape(-1, 4 * width)
+        du = h_prev.reshape(-1, width).T @ flat_dz
+        db = flat_dz.sum(axis=0)
+        contribs.grad += de.transpose(1, 0, 2)
+        for k, (up, bp) in enumerate(zip(us, bs)):
+            up.grad += du[:, k * width : (k + 1) * width]
+            bp.grad += db[k * width : (k + 1) * width]
+
+    out._backward = _back
+    return out
 
 
 def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
@@ -215,28 +289,25 @@ def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
 
     Rows may be exact one-hots or relaxed distributions; either way each row
     must sum to 1.  Differentiable w.r.t. both the selection and the book.
-    The sum families compute ``B @ C`` in one product; lstm feeds position j's
-    ``selection[:, j] @ C[j*K:(j+1)*K]`` to its recurrence.
+    The sum families compute ``B @ C`` in one product; lstm feeds every
+    position's ``selection[:, j] @ C[j*K:(j+1)*K]``, from one batched
+    product, to its recurrence.
     """
     _check_selection(selection, book)
     batch, d, k = selection.data.shape
-    flat = _flat_table(book)
     if book.kind is ComposerKind.LSTM:
-        contribs = [
-            ad.select(selection, j) @ ad.gather_rows(flat, np.arange(j * k, (j + 1) * k))
-            for j in range(d)
-        ]
-        return _lstm_combine(contribs, book)
-    return _head(ad.reshape(selection, (batch, d * k)) @ flat, book)
+        return _head(_lstm_recurrence(_digit_contributions(selection, book.table), book), book)
+    return _head(ad.reshape(selection, (batch, d * k)) @ _flat_table(book), book)
 
 
 def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
     """Compose embedding rows for raw digit rows (batch, code_length).
 
-    Gathers row ``j * alphabet + digit`` of ``C`` per position and sums the
-    rows in position order.  The one-hot ``B @ C`` of compose_relaxed adds the
-    same terms, but in the BLAS's order, so the two can differ by one
-    rounding per entry.
+    Gathers row ``j * alphabet + digit`` of ``C`` per position; the sum
+    families add the rows in position order, lstm feeds them to its
+    recurrence.  The one-hot ``B @ C`` of compose_relaxed adds the same
+    terms, but in the BLAS's order, so the two can differ by one rounding
+    per entry.
     """
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2 or digits.shape[1] != book.code_length:
@@ -245,12 +316,13 @@ def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
         raise ValueError(f"digits must lie in [0, {book.alphabet_size})")
     flat = _flat_table(book)
     rows = digits + book.alphabet_size * np.arange(book.code_length)
-    contribs = [ad.gather_rows(flat, rows[:, j]) for j in range(book.code_length)]
     if book.kind is ComposerKind.LSTM:
-        return _lstm_combine(contribs, book)
-    total = contribs[0]
-    for c in contribs[1:]:
-        total = total + c
+        picked = ad.gather_rows(flat, rows.reshape(-1))
+        contribs = ad.reshape(picked, (*digits.shape, book.digit_dim))
+        return _head(_lstm_recurrence(contribs, book), book)
+    total = ad.gather_rows(flat, rows[:, 0])
+    for j in range(1, book.code_length):
+        total = total + ad.gather_rows(flat, rows[:, j])
     return _head(total, book)
 
 

@@ -30,30 +30,39 @@ class RunReport:
 
 
 def accounting_for(config: dict) -> tuple[int, int, float]:
-    """(params, bits, compression ratio) implied by a config echo."""
+    """(params, bits, compression ratio) implied by a config echo.
+
+    An echo without a key its family needs raises a ``ValueError`` naming it.
+    """
     family = config.get("family")
     if family not in FAMILIES:
         raise ValueError(f"config echo needs a family in {FAMILIES}, got {family!r}")
-    n, d = int(config["vocab_size"]), int(config["embed_dim"])
+
+    def need(key: str) -> int:
+        if key not in config:
+            raise ValueError(f"{family} config echo has no '{key}'")
+        return int(config[key])
+
+    n, d = need("vocab_size"), need("embed_dim")
     full_bits = accounting.dense_layer_bits(n, d)
     if family == "kd":
-        k, length = int(config["alphabet_size"]), int(config["code_length"])
-        dprime, extra = int(config["digit_dim"]), int(config["extra_params"])
+        k, length = need("alphabet_size"), need("code_length")
+        dprime, extra = need("digit_dim"), need("extra_params")
         params = accounting.composer_params(k, length, dprime, extra)
         bits = accounting.coded_layer_bits(n, k, length, dprime, extra)
     elif family == "full":
         params, bits = n * d, full_bits
     elif family == "lowrank":
-        rank = int(config["rank"])
+        rank = need("rank")
         params = n * rank + rank * d
         bits = low_rank_bits(n, d, rank)
     elif family == "pq":
-        m, k = int(config["subspaces"]), int(config["n_centroids"])
+        m, k = need("subspaces"), need("n_centroids")
         params = k * d
         bits = pq_bits(n, d, m, k)
     else:  # scalar
         params = n * d
-        bits = scalar_bits(n, d, int(config["bits_per_value"]))
+        bits = scalar_bits(n, d, need("bits_per_value"))
     return params, bits, full_bits / bits
 
 

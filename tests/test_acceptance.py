@@ -135,6 +135,28 @@ def _composer_cases(rng: np.random.Generator, kind: str):
     return [(f"composer-{kind}", build, [logits, *book.parameters().values()])]
 
 
+def _lstm_cases(rng: np.random.Generator):
+    """The lstm recurrence op with a tied output gate, and fed by compose_digits."""
+    alpha, length, dprime, dim, batch = 3, 3, 4, 5, 2
+    tied = init_codebook(alpha, length, dprime, dim, "lstm", rng, tie_output_gate=True)
+    book = init_codebook(alpha, length, dprime, dim, "lstm", rng)
+    logits = Tensor(rng.normal(size=(batch, length, alpha)), name="sel_logits")
+    digits = rng.integers(0, alpha, (batch, length))
+    mix = Tensor(rng.normal(size=(batch, dim)), op="leaf", name="mix")
+    tau = float(rng.uniform(0.4, 1.5))
+
+    def relaxed():
+        return ad.tsum(ad.multiply(compose_relaxed(ad.softmax_t(logits, tau), tied), mix))
+
+    def hard():
+        return ad.tsum(ad.multiply(compose_digits(digits, book), mix))
+
+    return [
+        ("composer-lstm-tied", relaxed, [logits, *tied.parameters().values()]),
+        ("compose_digits-lstm", hard, list(book.parameters().values())),
+    ]
+
+
 def _guidance_cases(rng: np.random.Generator):
     dim, alpha, length, batch = 4, 3, 2, 2
     book = init_codebook(alpha, length, dim, dim, "linear-sum", rng)
@@ -162,6 +184,7 @@ def test_gate_01_gradient_suite():
         for kind in ("linear-sum", "linear-hidden", "lstm"):
             cases += _composer_cases(rng, kind)
         cases += _guidance_cases(rng)
+        cases += _lstm_cases(np.random.default_rng(9500 + trial))
         for label, build, params in cases:
             for p in params:
                 err = ad.finite_difference_check(build, p)

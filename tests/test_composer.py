@@ -373,6 +373,36 @@ class TestComposeDigits:
             compose_digits(np.array([[0, 9]]), book)
 
 
+class TestLstmRecurrenceOp:
+    @staticmethod
+    def graph_sizes(code_length: int) -> tuple[int, int]:
+        rng = np.random.default_rng(29)
+        book = init_codebook(4, code_length, 3, 5, ComposerKind.LSTM, rng)
+        sel = ad.softmax_t(Tensor(rng.normal(size=(6, code_length, 4))), 1.0)
+        digits = rng.integers(0, 4, (6, code_length))
+        return (len(ad.topo_order(compose_relaxed(sel, book))),
+                len(ad.topo_order(compose_digits(digits, book))))
+
+    def test_graph_size_does_not_grow_with_code_length(self):
+        assert self.graph_sizes(2) == self.graph_sizes(16)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_forward_is_bit_identical_to_the_per_node_graph(self, tied):
+        rng = np.random.default_rng(30)
+        book = init_codebook(5, 4, 6, 7, ComposerKind.LSTM, rng, tie_output_gate=tied)
+        for p in book.extras.values():  # nonzero biases, so the add order shows
+            p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
+        tables = [Tensor(block.copy()) for block in book.table.data]
+        sel = ad.softmax_t(Tensor(rng.normal(size=(9, 4, 5))), 0.7)
+        ref = per_position_compose(book, [ad.select(sel, j) @ tables[j] for j in range(4)])
+        assert np.array_equal(compose_relaxed(sel, book).data, ref.data)
+        digits = rng.integers(0, 5, (9, 4))
+        ref = per_position_compose(
+            book, [ad.gather_rows(tables[j], digits[:, j]) for j in range(4)]
+        )
+        assert np.array_equal(compose_digits(digits, book).data, ref.data)
+
+
 def per_position_compose(book: CodeBook, contribs: list[Tensor]) -> Tensor:
     """The composition as written before the single digit-vector tensor: D
     per-position contributions folded by a sequential sum (lstm: the

@@ -151,6 +151,13 @@ class TestAccountingEcho:
         with pytest.raises(ValueError, match="family"):
             accounting_for({"vocab_size": 10, "embed_dim": 4})
 
+    def test_missing_echo_key_is_named(self):
+        failed_row = {"family": "kd", "axis": "alphabet_size", "value": "1", "error": "boom"}
+        with pytest.raises(ValueError, match="'vocab_size'"):
+            accounting_for(failed_row)
+        with pytest.raises(ValueError, match="'rank'"):
+            accounting_for({"family": "lowrank", "vocab_size": 10, "embed_dim": 4})
+
     def test_kd_config_reads_the_artifacts(self):
         rng = np.random.default_rng(3)
         table = CodeTable([f"s{i}" for i in range(12)], rng.integers(0, 4, (12, 3)), 4)

@@ -276,6 +276,20 @@ class TestCli:
         assert "kd[alphabet_size=2]" in out
         assert len(load_reports(report_path)) == 2
 
+    def test_sweep_with_a_failed_value_exits_nonzero(self, workdir, capsys):
+        report_path = workdir / "sweep.jsonl"
+        code = main([
+            "sweep", str(workdir / "run.cfg"),
+            "--axis", "alphabet_size", "--values", "4,1",
+            "--out", str(report_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "kd[alphabet_size=1] FAILED" in captured.out
+        assert "alphabet_size failed for 1" in captured.err
+        reports = load_reports(report_path)
+        assert [r.method for r in reports] == ["kd[alphabet_size=4]", "kd[alphabet_size=1] FAILED"]
+
     def test_probe_codes_groups_output(self, workdir, capsys):
         out = workdir / "run"
         main(["fit-codes", str(workdir / "run.cfg"), "--out-dir", str(out)])
