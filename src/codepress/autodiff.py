@@ -16,10 +16,20 @@ Two ops deliberately lie to the gradient: ``stop_gradient`` (backward is
 zero) and ``straight_through`` (forward is the hard argmax one-hot, backward
 is the identity), so both are rejected by the finite-difference checker when
 they sit on the checked path.
+
+Graph lifetime: an op's backward closure captures its parents and whatever
+forward values it needs, never its own output; ``_attach`` stores it on the
+output behind a weak reference.  So a graph holds no reference cycle, and
+reference counting frees it as soon as its root is dropped, whether or not
+backward ever ran (validation and inference graphs included), without
+waiting for the cyclic garbage collector.  The stored ``_backward`` takes no
+arguments, so code that wraps it (a profiler timing each op's backward, say)
+needs to know nothing about how the upstream gradient is read.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +38,7 @@ LOG_FLOOR = 1e-12
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "op", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "op", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, parents: tuple = (), op: str = "leaf", name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -133,6 +143,18 @@ def _backprop(loss: Tensor, order: list[Tensor], row_leaves: frozenset[int] = fr
             node._backward()
 
 
+def _attach(out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
+    """Register ``back(upstream_grad)`` as ``out``'s zero-argument backward.
+
+    The stored callable reaches ``out`` only through a weak reference, so the
+    node does not refer back to itself.  Backward always runs while a
+    topological order holds every node, so the reference is live then.
+    """
+    ref = weakref.ref(out)
+    out._backward = lambda: back(ref().grad)
+    return out
+
+
 def _as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
@@ -172,15 +194,14 @@ def add(a: Tensor, b) -> Tensor:
             raise _shape_error("add", a.shape, b.shape)
     out = Tensor(a.data + b.data, (a, b), op="add")
 
-    def _back():
-        a.grad += out.grad
+    def _back(g):
+        a.grad += g
         if bias:
-            b.grad += out.grad.reshape(-1, b.data.shape[0]).sum(axis=0)
+            b.grad += g.reshape(-1, b.data.shape[0]).sum(axis=0)
         else:
-            b.grad += out.grad
+            b.grad += g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -188,12 +209,11 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("subtract", a.shape, b.shape)
     out = Tensor(a.data - b.data, (a, b), op="subtract")
 
-    def _back():
-        a.grad += out.grad
-        b.grad -= out.grad
+    def _back(g):
+        a.grad += g
+        b.grad -= g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -202,22 +222,20 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("multiply", a.shape, b.shape)
     out = Tensor(a.data * b.data, (a, b), op="multiply")
 
-    def _back():
-        a.grad += out.grad * b.data
-        b.grad += out.grad * a.data
+    def _back(g):
+        a.grad += g * b.data
+        b.grad += g * a.data
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s, (a,), op="scale")
 
-    def _back():
-        a.grad += out.grad * s
+    def _back(g):
+        a.grad += g * s
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -225,12 +243,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise _shape_error("matmul", a.shape, b.shape)
     out = Tensor(a.data @ b.data, (a, b), op="matmul")
 
-    def _back():
-        a.grad += out.grad @ b.data.T
-        b.grad += a.data.T @ out.grad
+    def _back(g):
+        a.grad += g @ b.data.T
+        b.grad += a.data.T @ g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -238,11 +255,10 @@ def transpose(a: Tensor) -> Tensor:
         raise _shape_error("transpose", a.shape)
     out = Tensor(a.data.T.copy(), (a,), op="transpose")
 
-    def _back():
-        a.grad += out.grad.T
+    def _back(g):
+        a.grad += g.T
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -254,14 +270,13 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         raise ValueError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
     out = Tensor(a.data[idx], (a,), op="gather_rows")
 
-    def _back():
+    def _back(g):
         if isinstance(a.grad, list):
-            a.grad.append((idx, out.grad))
+            a.grad.append((idx, g))
         else:
-            np.add.at(a.grad, idx, out.grad)
+            np.add.at(a.grad, idx, g)
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def select(a: Tensor, index: int) -> Tensor:
@@ -270,21 +285,19 @@ def select(a: Tensor, index: int) -> Tensor:
         raise ValueError(f"select: index {index} invalid for shape {a.shape}")
     out = Tensor(a.data[:, index].copy(), (a,), op="select")
 
-    def _back():
-        a.grad[:, index] += out.grad
+    def _back(g):
+        a.grad[:, index] += g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape).copy(), (a,), op="reshape")
 
-    def _back():
-        a.grad += out.grad.reshape(a.data.shape)
+    def _back(g):
+        a.grad += g.reshape(a.data.shape)
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def softmax_t(a: Tensor, tau: float) -> Tensor:
@@ -297,12 +310,11 @@ def softmax_t(a: Tensor, tau: float) -> Tensor:
     s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s, (a,), op="softmax_t")
 
-    def _back():
-        inner = (out.grad * s).sum(axis=-1, keepdims=True)
-        a.grad += (out.grad - inner) * s / tau
+    def _back(g):
+        inner = (g * s).sum(axis=-1, keepdims=True)
+        a.grad += (g - inner) * s / tau
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def hard_one_hot(values: np.ndarray) -> np.ndarray:
@@ -317,11 +329,10 @@ def straight_through(a: Tensor) -> Tensor:
     """Forward: one_hot(argmax) on the last axis.  Backward: identity."""
     out = Tensor(hard_one_hot(a.data), (a,), op="straight_through")
 
-    def _back():
-        a.grad += out.grad
+    def _back(g):
+        a.grad += g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -333,32 +344,29 @@ def sigmoid(a: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-a.data))
     out = Tensor(s, (a,), op="sigmoid")
 
-    def _back():
-        a.grad += out.grad * s * (1.0 - s)
+    def _back(g):
+        a.grad += g * s * (1.0 - s)
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
     out = Tensor(t, (a,), op="tanh")
 
-    def _back():
-        a.grad += out.grad * (1.0 - t * t)
+    def _back(g):
+        a.grad += g * (1.0 - t * t)
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), (a,), op="relu")
 
-    def _back():
-        a.grad += out.grad * (a.data > 0)
+    def _back(g):
+        a.grad += g * (a.data > 0)
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def log(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
@@ -366,21 +374,19 @@ def log(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
     clipped = np.maximum(a.data, floor)
     out = Tensor(np.log(clipped), (a,), op="log")
 
-    def _back():
-        a.grad += out.grad * (a.data >= floor) / clipped
+    def _back(g):
+        a.grad += g * (a.data >= floor) / clipped
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def tsum(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), (a,), op="sum")
 
-    def _back():
-        a.grad += out.grad
+    def _back(g):
+        a.grad += g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def squared_error(a: Tensor, b: Tensor) -> Tensor:
@@ -390,12 +396,11 @@ def squared_error(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     out = Tensor((diff * diff).sum(), (a, b), op="squared_error")
 
-    def _back():
-        a.grad += 2.0 * diff * out.grad
-        b.grad -= 2.0 * diff * out.grad
+    def _back(g):
+        a.grad += 2.0 * diff * g
+        b.grad -= 2.0 * diff * g
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
@@ -412,13 +417,12 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     out = Tensor(losses.mean(), (logits,), op="cross_entropy_logits")
     probs = np.exp(z - lse[:, None])
 
-    def _back():
-        g = probs.copy()
-        g[rows, y] -= 1.0
-        logits.grad += g * (out.grad / y.shape[0])
+    def _back(g):
+        dz = probs.copy()
+        dz[rows, y] -= 1.0
+        logits.grad += dz * (g / y.shape[0])
 
-    out._backward = _back
-    return out
+    return _attach(out, _back)
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray | RowGrad]:

@@ -199,18 +199,19 @@ def _digit_contributions(selection: Tensor, table: Tensor) -> Tensor:
     out = Tensor(np.matmul(sel, table.data).transpose(1, 0, 2), (selection, table),
                  op="digit_contributions")
 
-    def _back():
-        g = out.grad.transpose(1, 0, 2)
+    def _back(upstream):
+        g = upstream.transpose(1, 0, 2)
         selection.grad += np.matmul(g, table.data.transpose(0, 2, 1)).transpose(1, 0, 2)
         table.grad += np.matmul(sel.transpose(0, 2, 1), g)
 
-    out._backward = _back
-    return out
+    return ad._attach(out, _back)
 
 
 def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
     """Summed hidden states of the lstm over the D positions of (B, D, d')
     contributions, as one op with a hand-written backward through time.
+    The contributions may also come flat, as (B * D, d') rows in batch-major
+    order; the op reads them as (B, D, d') either way.
 
     Per position, with gate blocks [t, i, o, m] of ``z = e + h @ U + b``:
     ``mem = sig(z_t) * mem + sig(z_i) * tanh(z_m)`` and
@@ -225,8 +226,9 @@ def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
     bs = [ex[f"b_{g}"] for g in gates]
     u = np.concatenate([p.data for p in us], axis=1)
     bias = np.concatenate([p.data for p in bs])
-    x = contribs.data.transpose(1, 0, 2)  # (D, B, d'): position-major
-    length, batch, width = x.shape
+    length, width = book.code_length, book.digit_dim
+    x = contribs.data.reshape(-1, length, width).transpose(1, 0, 2)  # (D, B, d')
+    batch = x.shape[1]
     # acts[j] starts as position j's input term and becomes its activations
     acts = np.empty((length, batch, 4, width))
     acts[:] = x[:, :, None, :]
@@ -248,10 +250,10 @@ def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
         total += h
     out = Tensor(total, (contribs, *us, *bs), op="lstm_recurrence")
 
-    def _back():
+    def _back(upstream):
         dz = np.empty_like(acts)
         de = np.empty_like(cell)
-        dh = out.grad
+        dh = upstream
         dm = np.zeros((batch, width))
         for j in reversed(range(length)):
             a, d = acts[j], dz[j]
@@ -268,20 +270,19 @@ def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
             d.sum(axis=1, out=de[j])
             dm = dm * t_gate
             if j:
-                dh = out.grad + d.reshape(batch, 4 * width) @ u.T
+                dh = upstream + d.reshape(batch, 4 * width) @ u.T
         # h before each position: zero, then o * tanh(mem) of the one before
         h_prev = np.zeros_like(cell)
         np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
         flat_dz = dz.reshape(-1, 4 * width)
         du = h_prev.reshape(-1, width).T @ flat_dz
         db = flat_dz.sum(axis=0)
-        contribs.grad += de.transpose(1, 0, 2)
+        contribs.grad += de.transpose(1, 0, 2).reshape(contribs.data.shape)
         for k, (up, bp) in enumerate(zip(us, bs)):
             up.grad += du[:, k * width : (k + 1) * width]
             bp.grad += db[k * width : (k + 1) * width]
 
-    out._backward = _back
-    return out
+    return ad._attach(out, _back)
 
 
 def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
@@ -317,9 +318,7 @@ def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
     flat = _flat_table(book)
     rows = digits + book.alphabet_size * np.arange(book.code_length)
     if book.kind is ComposerKind.LSTM:
-        picked = ad.gather_rows(flat, rows.reshape(-1))
-        contribs = ad.reshape(picked, (*digits.shape, book.digit_dim))
-        return _head(_lstm_recurrence(contribs, book), book)
+        return _head(_lstm_recurrence(ad.gather_rows(flat, rows.reshape(-1)), book), book)
     total = ad.gather_rows(flat, rows[:, 0])
     for j in range(1, book.code_length):
         total = total + ad.gather_rows(flat, rows[:, j])

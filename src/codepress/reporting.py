@@ -146,18 +146,21 @@ def _fmt(value, kind: str) -> str:
 
 
 def text_table(reports: list[RunReport]) -> str:
-    """Aligned human-readable table over all reports; absent metrics show a dash."""
+    """Aligned human-readable table over all reports; absent metrics, and the
+    storage of a failed run, show a dash."""
     if not reports:
         raise ValueError("no reports to render")
     metric_keys = sorted({k for r in reports for k in r.metrics})
     header = ["method", "params", "bits", "ratio", "recon_mse", "nn_overlap", *metric_keys]
     rows = [header]
     for r in reports:
+        # a failed run (its echo carries the error) has no storage to show
+        failed = "error" in r.config
         row = [
             r.method,
-            _fmt(r.params_count, "int"),
-            _fmt(r.bits, "int"),
-            _fmt(r.compression_ratio, "ratio"),
+            _fmt(None if failed else r.params_count, "int"),
+            _fmt(None if failed else r.bits, "int"),
+            _fmt(None if failed else r.compression_ratio, "ratio"),
             _fmt(r.reconstruction_mse, "float"),
             _fmt(r.nn_overlap, "float"),
         ]

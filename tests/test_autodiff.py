@@ -1,4 +1,9 @@
-"""Autodiff core: forward oracles, gradient checks, STE/stop-gradient contracts."""
+"""Autodiff core: forward oracles, gradient checks, STE/stop-gradient contracts,
+and graph lifetime."""
+
+import gc
+import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +12,12 @@ from hypothesis import strategies as st
 
 from codepress import autodiff as ad
 from codepress.autodiff import Tensor
+from codepress.codes import CodeConfig
+from codepress.composer import ComposerKind, compose_digits, compose_relaxed, init_codebook
+from codepress.datasets import clustered_embeddings
+from codepress.guidance import GuidanceConfig
+from codepress.tasks import ReconstructionTask
+from codepress.training import TempSchedule, TrainConfig, Trainer
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,3 +324,100 @@ def test_hard_one_hot_marks_first_argmax(values):
     out = ad.hard_one_hot(arr)
     assert out.sum() == 1.0
     assert out[np.argmax(arr)] == 1.0
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees objects while the test runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _interior_refs(root: Tensor) -> list[weakref.ref]:
+    """Weak references to every non-leaf node below ``root``.  Also checks
+    that each stored backward takes no arguments, as wrappers that time an
+    op's backward call it that way."""
+    order = ad.topo_order(root)
+    for node in order:
+        if node._backward is not None:
+            assert not inspect.signature(node._backward).parameters, node.op
+    return [weakref.ref(node) for node in order if node._parents]
+
+
+def _dead(refs: list[weakref.ref]) -> bool:
+    return bool(refs) and all(ref() is None for ref in refs)
+
+
+@pytest.mark.usefixtures("no_cyclic_gc")
+class TestGraphLifetime:
+    """A graph holds no reference cycle, so dropping its root frees it."""
+
+    def _book(self, kind, seed=0):
+        return init_codebook(4, 3, 5, 6, kind, np.random.default_rng(seed))
+
+    def test_freed_after_gradients(self):
+        rng = np.random.default_rng(0)
+        logits = Tensor(rng.normal(size=(6, 3, 4)), name="logits")
+        book = self._book(ComposerKind.LINEAR)
+        params = {"logits": logits, **book.parameters()}
+
+        def step():
+            rows = ad.gather_rows(logits, [0, 2, 2, 5])
+            sel = ad.straight_through(ad.softmax_t(rows, 0.5))
+            out = compose_relaxed(sel, book)
+            loss = ad.squared_error(out, Tensor(np.ones(out.shape)))
+            refs = _interior_refs(loss)
+            return refs, ad.gradients(loss, params)
+
+        refs, grads = step()
+        assert isinstance(grads["logits"], ad.RowGrad)
+        assert _dead(refs)
+
+    def test_freed_after_backward(self):
+        x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]))
+
+        def step():
+            loss = ad.tsum(ad.tanh(ad.softmax_t(x @ x.T, 0.7)))
+            refs = _interior_refs(loss)
+            loss.backward()
+            return refs
+
+        refs = step()
+        assert x.grad is not None
+        assert _dead(refs)
+
+    @pytest.mark.parametrize("kind", list(ComposerKind))
+    def test_freed_after_inference_pass(self, kind):
+        book = self._book(kind)
+        digits = np.random.default_rng(1).integers(0, 4, size=(7, 3))
+
+        def embed():
+            out = compose_digits(digits, book)
+            return _interior_refs(out), out.data
+
+        refs, rows = embed()
+        assert rows.shape == (7, 6)
+        assert _dead(refs)
+
+    def test_freed_after_odg_training_epoch(self, monkeypatch):
+        targets, _ = clustered_embeddings(40, 8, 4, np.random.default_rng(0))
+        task = ReconstructionTask(targets, val_fraction=0.25, split_seed=0)
+        code = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
+        cfg = TrainConfig(epochs=1, batch_size=16, learning_rate=0.01,
+                          schedule=TempSchedule(tau_init=1.0, tau_min=0.5, horizon=10),
+                          guidance=GuidanceConfig(mode="odg"))
+        trainer = Trainer(task, code, ComposerKind.LSTM, cfg)
+        refs = []
+        real_gradients = ad.gradients
+
+        def recording(loss, params):
+            refs.extend(_interior_refs(loss))
+            return real_gradients(loss, params)
+
+        monkeypatch.setattr(ad, "gradients", recording)
+        trainer.train_epoch()
+        assert trainer.step > 1
+        assert _dead(refs)

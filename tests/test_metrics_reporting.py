@@ -1,5 +1,7 @@
 """Neighborhood overlap, the shared-code semantics probe, and run reports."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from codepress.reporting import (
     text_table,
     verify_accounting,
 )
+from codepress.sweeps import _failed
 
 
 class TestNNOverlap:
@@ -265,3 +268,15 @@ class TestTextTable:
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError, match="no reports"):
             text_table([])
+
+    def test_failed_row_shows_dashes_for_storage(self, tmp_path):
+        failed = _failed("kd[code_length=1]", ValueError("boom"), axis="code_length", value="1")
+        table = text_table([build_report("kd", KD_CONFIG), failed])
+        cells = table.split("\n")[3].split()
+        assert cells[:2] == ["kd[code_length=1]", "FAILED"]
+        assert cells[2:5] == [MISSING] * 3
+        # the stored record keeps the placeholder zeros
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [failed])
+        record = json.loads(path.read_text())
+        assert (record["params_count"], record["bits"], record["compression_ratio"]) == (0, 0, 0.0)
