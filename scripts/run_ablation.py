@@ -1,59 +1,31 @@
 #!/usr/bin/env python3
-"""Run the optimization-trick ladder on one reconstruction problem.
+"""Run the optimization-trick ladder on the reconstruction problem of a config.
 
 Six rows, cumulative wiring changes: plain continuous relaxation, then
 straight-through discretization, then the temperature schedule, then entropy
 regularization, then distillation guidance without and with its autoencoder
-term.  All rows share one seed so differences come from the wiring alone.
+term.  Each row is ``codepress fit-codes`` of the config (a flat key=value
+file, see ``codepress fit-codes --help-config``) with that rung's overrides.
+All rows share the config's seed, so differences come from the wiring alone.
 
 Example:
-    python3 scripts/run_ablation.py --epochs 25 --seed 3
+    python3 scripts/run_ablation.py ablation.cfg --out ablation.jsonl
 """
 
 import argparse
 
-import numpy as np
-
-from codepress.datasets import clustered_embeddings
+from codepress.configfile import parse_config
 from codepress.reporting import save_reports, text_table
-from codepress.sweeps import SweepBase, run_ablation
-from codepress.training import TrainConfig
+from codepress.sweeps import run_ablation
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--vocab-size", type=int, default=1000)
-    ap.add_argument("--embed-dim", type=int, default=32)
-    ap.add_argument("--clusters", type=int, default=20)
-    ap.add_argument("--alphabet", type=int, default=16)
-    ap.add_argument("--length", type=int, default=4)
-    ap.add_argument("--digit-dim", type=int, default=32)
-    ap.add_argument("--composer", default="linear-sum",
-                    choices=["linear-sum", "linear-hidden", "lstm"])
-    ap.add_argument("--epochs", type=int, default=15)
-    ap.add_argument("--batch-size", type=int, default=128)
-    ap.add_argument("--learning-rate", type=float, default=0.02)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("config", help="key=value config file")
     ap.add_argument("--out", default="", help="also write reports as JSON lines")
     args = ap.parse_args()
 
-    targets, _ = clustered_embeddings(
-        args.vocab_size, args.embed_dim, args.clusters, np.random.default_rng(args.seed)
-    )
-    base = SweepBase(
-        targets=targets,
-        alphabet_size=args.alphabet,
-        code_length=args.length,
-        digit_dim=args.digit_dim,
-        composer=args.composer,
-        train=TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=args.seed,
-        ),
-    )
-    reports = run_ablation(base)
+    reports = run_ablation(parse_config(args.config))
     if args.out:
         save_reports(args.out, reports)
     print(text_table(reports))

@@ -57,6 +57,6 @@ from .datasets import (
 from .tasks import ClassificationTask, ReconstructionTask
 from .metrics import code_semantics_probe, nn_overlap
 from .reporting import RunReport, build_report, load_reports, save_reports, text_table
-from .sweeps import SweepBase, ablation_variants, run_ablation, sweep
+from .sweeps import ablation_variants, run_ablation, sweep
 
 __version__ = "0.1.0"

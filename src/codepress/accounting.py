@@ -63,6 +63,21 @@ def dense_layer_bits(vocab_size: int, embed_dim: int) -> int:
     return FLOAT_BITS * vocab_size * embed_dim
 
 
+def low_rank_bits(n: int, d: int, rank: int) -> int:
+    """Two float32 factors, (n, rank) and (rank, d)."""
+    return FLOAT_BITS * (n * rank + rank * d)
+
+
+def pq_bits(n: int, d: int, subspaces: int, n_centroids: int) -> int:
+    """Assignment bits via code accounting plus 32-bit centroid storage."""
+    return code_bits(n, n_centroids, subspaces) + FLOAT_BITS * n_centroids * d
+
+
+def scalar_bits(n: int, d: int, bits: int) -> int:
+    """``bits`` per entry plus the grid's float32 offset and scale."""
+    return n * d * bits + 2 * FLOAT_BITS
+
+
 def no_collision_probability(
     vocab_size: int, alphabet_size: int, code_length: int
 ) -> float:

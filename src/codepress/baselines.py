@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import accounting, autodiff as ad
+from . import autodiff as ad
 from .autodiff import Tensor
 from .codes import CodeConfig, CodeTable
 from .composer import CodeBook, ComposerKind
@@ -34,47 +34,17 @@ class LowRankFactors:
         return self.a @ self.b
 
 
-def low_rank_fit(
-    matrix: np.ndarray,
-    rank: int,
-    iters: int = 4000,
-    lr: float = 0.02,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> LowRankFactors:
-    """Fit U ~= A @ B by adaptive-moment gradient descent on the squared error.
-
-    Stops early when the per-entry MSE improvement over 200 iterations falls
-    below ``tol`` relative to the current value.
-    """
+def low_rank_fit(matrix: np.ndarray, rank: int) -> LowRankFactors:
+    """Best rank-``rank`` factorization U ~= A @ B in squared error: the
+    truncated SVD (Eckart-Young), with the singular values folded into A."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n, d = matrix.shape
     if not 1 <= rank <= min(n, d):
         raise ValueError(f"rank must lie in [1, {min(n, d)}], got {rank}")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(rank)
-    a = Tensor(rng.normal(0.0, scale, (n, rank)), name="lowrank_a")
-    b = Tensor(rng.normal(0.0, scale, (rank, d)), name="lowrank_b")
-    params = {"a": a, "b": b}
-    opt = Adam(params, lr)
-    target = Tensor(matrix, op="leaf", name="lowrank_target")
-    inv_size = 1.0 / matrix.size
-    prev = None
-    for t in range(iters):
-        loss = ad.scale(ad.squared_error(a @ b, target), inv_size)
-        mse = loss.item()
-        if t % 200 == 0:
-            if prev is not None and prev - mse <= tol * max(prev, 1e-30):
-                break
-            prev = mse
-        grads = ad.gradients(loss, params)
-        opt.step(grads)
-    diff = a.data @ b.data - matrix
-    return LowRankFactors(a=a.data, b=b.data, mse=float((diff * diff).mean()))
-
-
-def low_rank_bits(n: int, d: int, rank: int) -> int:
-    return accounting.FLOAT_BITS * (n * rank + rank * d)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    a, b = u[:, :rank] * s[:rank], vt[:rank]
+    diff = a @ b - matrix
+    return LowRankFactors(a=a, b=b, mse=float((diff * diff).mean()))
 
 
 # -- k-means and product quantization ------------------------------------------
@@ -217,13 +187,6 @@ def pq_as_kd(pq: PQResult, symbols: list[str] | None = None) -> tuple[CodeTable,
     return table, book
 
 
-def pq_bits(n: int, d: int, subspaces: int, n_centroids: int) -> int:
-    """Assignment bits via code accounting plus 32-bit centroid storage."""
-    return accounting.code_bits(n, n_centroids, subspaces) + accounting.FLOAT_BITS * (
-        n_centroids * d
-    )
-
-
 # -- scalar quantization --------------------------------------------------------
 
 
@@ -263,10 +226,6 @@ def scalar_quantize(matrix: np.ndarray, bits: int) -> ScalarQuantResult:
     return ScalarQuantResult(
         quantized=lo + codes * scale, codes=codes, offset=lo, scale=scale, bits=bits
     )
-
-
-def scalar_bits(n: int, d: int, bits: int) -> int:
-    return n * d * bits + 2 * accounting.FLOAT_BITS  # grid offset + scale
 
 
 # -- dense reference model ---------------------------------------------------------
@@ -407,8 +366,8 @@ def evaluate_full(matrix: np.ndarray) -> QuantizationResult:
     )
 
 
-def evaluate_low_rank(matrix: np.ndarray, rank: int, **kwargs) -> QuantizationResult:
-    recon = low_rank_fit(matrix, rank, **kwargs).reconstruct()
+def evaluate_low_rank(matrix: np.ndarray, rank: int) -> QuantizationResult:
+    recon = low_rank_fit(matrix, rank).reconstruct()
     return QuantizationResult(
         method=f"lowrank(r={rank})",
         reconstruction=recon,

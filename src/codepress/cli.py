@@ -31,51 +31,13 @@ from .baselines import (
 )
 from .codes import CodeConfig, load_code_table, save_code_table
 from .composer import compose_digits, load_codebook, save_codebook
-from .configfile import build_code_config, build_train_config, describe_defaults, parse_config
-from .datasets import clustered_embeddings, load_embeddings, make_vocab
+from .configfile import describe_defaults, parse_config
+from .datasets import load_embeddings
 from .metrics import code_semantics_probe, nn_overlap
 from .reporting import build_report, kd_config, save_reports, text_table
-from .sweeps import SWEEP_AXES, SweepBase, sweep
+from .sweeps import SWEEP_AXES, run_one, sweep
 from .tasks import ReconstructionTask
 from .training import TrainConfig, fit
-
-
-def _load_targets(settings: dict):
-    """(symbols, target matrix) from the config's data section."""
-    if settings["embeddings_path"]:
-        vocab, matrix = load_embeddings(settings["embeddings_path"])
-        return vocab.symbols, matrix
-    rng = np.random.default_rng(settings["data_seed"])
-    matrix, _ = clustered_embeddings(
-        settings["vocab_size"],
-        settings["embed_dim"],
-        settings["synthetic_clusters"],
-        rng,
-        spread=settings["synthetic_spread"],
-    )
-    return make_vocab(settings["vocab_size"]).symbols, matrix
-
-
-def _fit_from_settings(settings: dict):
-    symbols, targets = _load_targets(settings)
-    settings = dict(settings, vocab_size=targets.shape[0], embed_dim=targets.shape[1])
-    task = ReconstructionTask(
-        targets, val_fraction=settings["val_fraction"], split_seed=settings["data_seed"]
-    )
-    code_cfg = build_code_config(settings)
-    train_cfg = build_train_config(settings)
-    pretrained = targets if train_cfg.guidance.mode == "pdg" else None
-    result = fit(
-        task,
-        code_cfg,
-        settings["composer"],
-        train_cfg,
-        hidden_width=settings["hidden_width"],
-        tie_output_gate=settings["tie_output_gate"],
-        pretrained=pretrained,
-        symbols=symbols,
-    )
-    return settings, task, result
 
 
 def cmd_fit_codes(args) -> int:
@@ -85,8 +47,7 @@ def cmd_fit_codes(args) -> int:
     if args.config is None:
         print("error: a config file is required (or --help-config)", file=sys.stderr)
         return 1
-    settings = parse_config(args.config)
-    settings, task, result = _fit_from_settings(settings)
+    report, result = run_one(parse_config(args.config))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_code_table(result.table, out / "codes.txt")
@@ -94,12 +55,11 @@ def cmd_fit_codes(args) -> int:
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for record in result.history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    scores = result.evaluate()
     print(
         f"fit-codes: vocab={result.table.vocab_size} "
         f"K={result.table.alphabet_size} D={result.table.code_length} "
         f"best_val={result.best_val:.6f} "
-        f"reconstruction_mse={scores['reconstruction_mse']:.6f} -> {out}"
+        f"reconstruction_mse={report.reconstruction_mse:.6f} -> {out}"
     )
     return 0
 
@@ -149,7 +109,7 @@ def cmd_baseline(args) -> int:
     if args.method == "full":
         qr = evaluate_full(targets)
     elif args.method == "lowrank":
-        qr = evaluate_low_rank(targets, args.rank, seed=args.seed)
+        qr = evaluate_low_rank(targets, args.rank)
     elif args.method == "pq":
         qr = evaluate_pq(targets, args.subspaces, args.centroids, np.random.default_rng(args.seed))
     else:  # scalar
@@ -193,22 +153,10 @@ def _cmd_code_baseline(args, vocab, targets, start) -> int:
 
 def cmd_sweep(args) -> int:
     settings = parse_config(args.config)
-    symbols, targets = _load_targets(settings)
-    settings = dict(settings, vocab_size=targets.shape[0], embed_dim=targets.shape[1])
-    base = SweepBase(
-        targets=targets,
-        alphabet_size=settings["alphabet_size"],
-        code_length=settings["code_length"],
-        digit_dim=settings["digit_dim"],
-        composer=settings["composer"],
-        hidden_width=settings["hidden_width"],
-        train=build_train_config(settings),
-    )
-    values = []
-    for raw in args.values.split(","):
-        raw = raw.strip()
-        values.append(raw if args.axis == "composer" else int(raw))
-    reports = sweep(args.axis, values, base)
+    values = [
+        raw.strip() if args.axis == "composer" else int(raw) for raw in args.values.split(",")
+    ]
+    reports = sweep(args.axis, values, settings)
     _emit(reports, args.out)
     failed = [r.config["value"] for r in reports if r.method.endswith(" FAILED")]
     if failed:

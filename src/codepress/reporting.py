@@ -11,7 +11,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from . import accounting
-from .baselines import low_rank_bits, pq_bits, scalar_bits
 
 FAMILIES = ("kd", "full", "lowrank", "pq", "scalar")
 
@@ -55,14 +54,14 @@ def accounting_for(config: dict) -> tuple[int, int, float]:
     elif family == "lowrank":
         rank = need("rank")
         params = n * rank + rank * d
-        bits = low_rank_bits(n, d, rank)
+        bits = accounting.low_rank_bits(n, d, rank)
     elif family == "pq":
         m, k = need("subspaces"), need("n_centroids")
         params = k * d
-        bits = pq_bits(n, d, m, k)
+        bits = accounting.pq_bits(n, d, m, k)
     else:  # scalar
         params = n * d
-        bits = scalar_bits(n, d, need("bits_per_value"))
+        bits = accounting.scalar_bits(n, d, need("bits_per_value"))
     return params, bits, full_bits / bits
 
 
@@ -124,11 +123,17 @@ def save_reports(path, reports: list[RunReport]) -> None:
 
 
 def load_reports(path) -> list[RunReport]:
+    """Read ``save_reports`` output.  A line that is not UTF-8, not JSON or
+    not a report's fields raises a ``ValueError`` naming the file and line."""
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                reports.append(RunReport(**json.loads(line)))
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    reports.append(RunReport(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return reports
 
 

@@ -1,42 +1,30 @@
 """Configuration sweeps, the optimization-trick ablation ladder, and the
 full / coded / quantized compression comparison.
 
-Each run in a sweep gets an independent seed derived from (base seed, run
-index), so runs are reproducible individually and reorderable collectively.
-A run that raises is recorded as a failure entry; the sweep carries on.
+``run_one`` turns a parsed config into a fit and its report; ``fit-codes``,
+every sweep row and every ablation rung is ``run_one`` of a config with some
+keys overridden.  Each run in a sweep gets an independent seed derived from
+(base seed, run index), so runs are reproducible individually and
+reorderable collectively.  A run that raises is recorded as a failure entry;
+the sweep carries on.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .baselines import evaluate_full, evaluate_pq, evaluate_scalar, fit_dense_embedding
 from .codes import CodeConfig
-from .composer import DEFAULT_HIDDEN_WIDTH, ComposerKind
-from .datasets import marker_corpus
-from .guidance import GuidanceConfig
+from .configfile import DEFAULTS, build_code_config, build_train_config
+from .datasets import clustered_embeddings, load_embeddings, make_vocab, marker_corpus
 from .reporting import RunReport, build_report, kd_config
 from .tasks import ClassificationTask, ReconstructionTask
-from .training import FitResult, TempSchedule, TrainConfig, fit
+from .training import FitResult, TrainConfig, fit
 
 SWEEP_AXES = ("alphabet_size", "code_length", "digit_dim", "composer")
-
-
-@dataclass(frozen=True)
-class SweepBase:
-    """Reference configuration a sweep perturbs one axis of."""
-
-    targets: np.ndarray  # reconstruction targets (vocab, embed_dim)
-    alphabet_size: int = 16
-    code_length: int = 4
-    digit_dim: int = 16
-    composer: str = "linear-sum"
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH
-    train: TrainConfig = field(default_factory=TrainConfig)
-    allow_lossy: bool = True
 
 
 def derived_seed(base_seed: int, index: int) -> int:
@@ -44,44 +32,54 @@ def derived_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
 
 
-def run_one(base: SweepBase, seed: int, **overrides) -> tuple[RunReport, FitResult]:
-    """One fit+eval at the base configuration with the given field overrides.
+def load_targets(settings: dict) -> tuple[list[str], np.ndarray]:
+    """(symbols, target matrix) from the config's data section."""
+    if settings["embeddings_path"]:
+        vocab, matrix = load_embeddings(settings["embeddings_path"])
+        return vocab.symbols, matrix
+    rng = np.random.default_rng(settings["data_seed"])
+    matrix, _ = clustered_embeddings(
+        settings["vocab_size"],
+        settings["embed_dim"],
+        settings["synthetic_clusters"],
+        rng,
+        spread=settings["synthetic_spread"],
+    )
+    return make_vocab(settings["vocab_size"]).symbols, matrix
 
-    The report's ``wall_time_s`` covers the fit and the evaluation.
+
+def run_one(settings: dict, **overrides) -> tuple[RunReport, FitResult]:
+    """Fit and evaluate a parsed config (``configfile.parse_config``) with some
+    of its keys overridden; ``fit-codes`` is this with no overrides.
+
+    The report's ``wall_time_s`` covers loading the targets, the fit and the
+    evaluation.
     """
     start = time.perf_counter()
-    settings = {
-        "alphabet_size": base.alphabet_size,
-        "code_length": base.code_length,
-        "digit_dim": base.digit_dim,
-        "composer": base.composer,
-    }
-    settings.update(overrides)
-    task = ReconstructionTask(base.targets)
-    code_cfg = CodeConfig(
-        vocab_size=task.vocab_size,
-        alphabet_size=int(settings["alphabet_size"]),
-        code_length=int(settings["code_length"]),
-        code_embed_dim=int(settings["digit_dim"]),
-        allow_lossy=base.allow_lossy,
+    settings = {**settings, **overrides}
+    symbols, targets = load_targets(settings)
+    settings.update(vocab_size=targets.shape[0], embed_dim=targets.shape[1])
+    task = ReconstructionTask(
+        targets, val_fraction=settings["val_fraction"], split_seed=settings["data_seed"]
     )
-    cfg = replace(base.train, seed=seed)
-    pretrained = base.targets if cfg.guidance.mode == "pdg" else None
+    train_cfg = build_train_config(settings)
     result = fit(
         task,
-        code_cfg,
-        ComposerKind(settings["composer"]),
-        cfg,
-        hidden_width=base.hidden_width,
-        pretrained=pretrained,
+        build_code_config(settings),
+        settings["composer"],
+        train_cfg,
+        hidden_width=settings["hidden_width"],
+        tie_output_gate=settings["tie_output_gate"],
+        pretrained=targets if train_cfg.guidance.mode == "pdg" else None,
+        symbols=symbols,
     )
     scores = result.evaluate()
     report = build_report(
         method=f"kd({settings['composer']})",
         config={
             **kd_config(result.table, result.book, task.embed_dim),
-            "composer": str(settings["composer"]),
-            "seed": seed,
+            "composer": settings["composer"],
+            "seed": settings["seed"],
         },
         metrics={"val_loss": result.best_val, **scores},
         reconstruction_mse=scores.get("reconstruction_mse"),
@@ -101,15 +99,16 @@ def _failed(method: str, exc: Exception, **echo) -> RunReport:
     )
 
 
-def sweep(axis: str, values, base: SweepBase) -> list[RunReport]:
-    """Fit+eval once per axis value; failures become error-tagged reports."""
+def sweep(axis: str, values, settings: dict) -> list[RunReport]:
+    """``run_one`` once per axis value, run ``i`` at seed
+    ``derived_seed(settings["seed"], i)``; failures become error-tagged reports."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     reports: list[RunReport] = []
     for index, value in enumerate(values):
-        seed = derived_seed(base.train.seed, index)
+        seed = derived_seed(settings["seed"], index)
         try:
-            report, _ = run_one(base, seed, **{axis: value})
+            report, _ = run_one(settings, seed=seed, **{axis: value})
             report.method = f"kd[{axis}={value}]"
         except Exception as exc:  # preserve partial results
             report = _failed(f"kd[{axis}={value}]", exc, axis=axis, value=str(value))
@@ -128,40 +127,47 @@ ABLATION_ORDER = (
     "pdg_full",  # + autoencoder term
 )
 
+_SCHEDULE_KEYS = ("schedule_kind", "tau_init", "tau_min", "tau_horizon")
 
-def ablation_variants(base: TrainConfig) -> list[tuple[str, TrainConfig]]:
-    """The cumulative trick ladder, all derived from one base TrainConfig."""
-    constant = TempSchedule(kind="constant", tau_init=base.schedule.tau_init, tau_min=base.schedule.tau_init)
-    decaying = base.schedule if base.schedule.kind == "exponential" else TempSchedule()
-    no_guide = GuidanceConfig(mode="none")
-    pdg_off = replace(base.guidance, mode="pdg", autoencoder=False)
-    pdg_on = replace(base.guidance, mode="pdg", autoencoder=True)
-    return [
-        ("cr", replace(base, use_straight_through=False, schedule=constant,
-                       entropy_weight=0.0, guidance=no_guide)),
-        ("cr_ste", replace(base, use_straight_through=True, schedule=constant,
-                           entropy_weight=0.0, guidance=no_guide)),
-        ("cr_ste_sched", replace(base, use_straight_through=True, schedule=decaying,
-                                 entropy_weight=0.0, guidance=no_guide)),
-        ("cr_ste_sched_ent", replace(base, use_straight_through=True, schedule=decaying,
-                                     guidance=no_guide)),
-        ("pdg_no_autoencoder", replace(base, use_straight_through=True, schedule=decaying,
-                                       guidance=pdg_off)),
-        ("pdg_full", replace(base, use_straight_through=True, schedule=decaying,
-                             guidance=pdg_on)),
+
+def ablation_variants(settings: dict) -> list[tuple[str, dict]]:
+    """The cumulative trick ladder over a parsed config: each rung's config
+    overrides, which add one trick to the rung before.
+
+    The schedule rung keeps the config's schedule if it decays and otherwise
+    takes the default one; the guidance rungs keep the config's pdg weights.
+    """
+    if settings["schedule_kind"] == "exponential":
+        decaying = {key: settings[key] for key in _SCHEDULE_KEYS}
+    else:
+        decaying = {key: DEFAULTS[key].default for key in _SCHEDULE_KEYS}
+    steps = [
+        ("cr", {"use_straight_through": False, "schedule_kind": "constant",
+                "tau_min": settings["tau_init"], "entropy_weight": 0.0,
+                "guidance_mode": "none"}),
+        ("cr_ste", {"use_straight_through": True}),
+        ("cr_ste_sched", decaying),
+        ("cr_ste_sched_ent", {"entropy_weight": settings["entropy_weight"]}),
+        ("pdg_no_autoencoder", {"guidance_mode": "pdg", "autoencoder": False}),
+        ("pdg_full", {"autoencoder": True}),
     ]
+    rungs, overrides = [], {}
+    for tag, step in steps:
+        overrides = {**overrides, **step}
+        rungs.append((tag, overrides))
+    return rungs
 
 
-def run_ablation(base: SweepBase) -> list[RunReport]:
-    """Six-row report over the trick ladder on the base reconstruction task.
+def run_ablation(settings: dict) -> list[RunReport]:
+    """Six-row report over the trick ladder, each rung a ``run_one`` of the
+    config.
 
-    All variants share the base seed, making the ladder a paired comparison.
+    All rungs share the config's seed, making the ladder a paired comparison.
     """
     reports = []
-    for tag, cfg in ablation_variants(base.train):
-        variant = replace(base, train=cfg)
+    for tag, overrides in ablation_variants(settings):
         try:
-            report, _ = run_one(variant, cfg.seed)
+            report, _ = run_one(settings, **overrides)
             report.method = tag
         except Exception as exc:
             report = _failed(tag, exc, variant=tag)

@@ -29,6 +29,7 @@ from codepress.composer import (
     factorization_equivalence_check,
     init_codebook,
 )
+from codepress.configfile import DEFAULTS
 from codepress.datasets import clustered_embeddings
 from codepress.guidance import (
     autoencoder_loss,
@@ -40,7 +41,7 @@ from codepress.guidance import (
 )
 from codepress.metrics import code_semantics_probe
 from codepress.reporting import text_table, verify_accounting
-from codepress.sweeps import ABLATION_ORDER, SweepBase, compression_comparison, run_ablation
+from codepress.sweeps import ABLATION_ORDER, compression_comparison, run_ablation
 from codepress.tasks import ReconstructionTask
 from codepress.training import TrainConfig, Trainer, fit
 
@@ -492,13 +493,14 @@ def test_gate_09_ablation_ladder():
     best_count = 0
     bests = []
     for seed in range(5):
-        targets, _ = clustered_embeddings(1000, 32, 20, np.random.default_rng(400 + seed))
-        base = SweepBase(
-            targets=targets, alphabet_size=16, code_length=4, digit_dim=32,
-            composer="linear-sum",
-            train=TrainConfig(epochs=15, batch_size=128, learning_rate=0.02, seed=seed),
+        # clustered targets (1000 x 32, 20 clusters) drawn from seed 400 + seed
+        settings = {key: spec.default for key, spec in DEFAULTS.items()}
+        settings.update(
+            vocab_size=1000, embed_dim=32, synthetic_clusters=20, data_seed=400 + seed,
+            alphabet_size=16, code_length=4, digit_dim=32, composer="linear-sum",
+            epochs=15, batch_size=128, learning_rate=0.02, seed=seed,
         )
-        reports = run_ablation(base)
+        reports = run_ablation(settings)
         assert tuple(r.method.split("[")[0] for r in reports) == ABLATION_ORDER
         scores = {}
         for r in reports:

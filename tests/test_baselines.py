@@ -1,23 +1,20 @@
-"""Compression baselines: low-rank GD, k-means/PQ, scalar grids, code tables."""
+"""Compression baselines: low-rank SVD, k-means/PQ, scalar grids, code tables."""
 
 import numpy as np
 import pytest
 
-from codepress.accounting import FLOAT_BITS
+from codepress.accounting import FLOAT_BITS, low_rank_bits, pq_bits, scalar_bits
 from codepress.baselines import (
     evaluate_full,
     evaluate_low_rank,
     evaluate_pq,
     evaluate_scalar,
     lloyd_kmeans,
-    low_rank_bits,
     low_rank_fit,
     pq_as_kd,
-    pq_bits,
     pretrained_codes,
     product_quantize,
     random_codes,
-    scalar_bits,
     scalar_quantize,
 )
 from codepress.codes import CodeConfig
@@ -36,7 +33,7 @@ def svd_optimal_mse(matrix: np.ndarray, rank: int) -> float:
 
 class TestLowRank:
     def test_recovers_exact_rank_one_factorization(self):
-        rng = np.random.default_rng(77)  # distinct from the fitter's init seed
+        rng = np.random.default_rng(77)
         matrix = np.outer(rng.normal(size=20), rng.normal(size=6))
         result = low_rank_fit(matrix, rank=1)
         assert result.mse < 1e-6
@@ -59,7 +56,7 @@ class TestLowRank:
     def test_reconstruct_matches_factor_product(self):
         rng = np.random.default_rng(3)
         matrix = rng.normal(size=(10, 7))
-        result = low_rank_fit(matrix, rank=2, iters=50)
+        result = low_rank_fit(matrix, rank=2)
         assert np.array_equal(result.reconstruct(), result.a @ result.b)
 
     def test_rank_bounds(self):
@@ -259,7 +256,7 @@ class TestEvaluateWrappers:
 
     def test_low_rank_tag_and_bits(self):
         matrix = np.random.default_rng(19).normal(size=(20, 10))
-        result = evaluate_low_rank(matrix, rank=3, iters=200)
+        result = evaluate_low_rank(matrix, rank=3)
         assert result.method == "lowrank(r=3)"
         assert stored_bits(result) == low_rank_bits(20, 10, 3)
         assert result.mse > 0
@@ -287,6 +284,6 @@ class TestEvaluateWrappers:
             return build_report(result.method, result.config).params_count
 
         assert stored_params(evaluate_full(matrix)) == 16 * 6
-        assert stored_params(evaluate_low_rank(matrix, rank=2, iters=50)) == 2 * (16 + 6)
+        assert stored_params(evaluate_low_rank(matrix, rank=2)) == 2 * (16 + 6)
         pq = evaluate_pq(matrix, 2, 3, rng=np.random.default_rng(1))
         assert stored_params(pq) == 3 * 6  # centroid entries

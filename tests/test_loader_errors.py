@@ -1,5 +1,5 @@
-"""Malformed ``codes.txt``, ``codebook.bin`` and text embedding files: every
-one is rejected with a ValueError that names the file (and the line, for a
+"""Malformed ``codes.txt``, ``codebook.bin``, text embedding and report files:
+every one is rejected with a ValueError that names the file (and the line, for a
 text body line), so the CLI reports it instead of printing a traceback."""
 
 import re
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from codepress.codes import CodeTable, load_code_table, save_code_table
 from codepress.composer import ComposerKind, init_codebook, load_codebook, save_codebook
 from codepress.datasets import load_embeddings, make_vocab, save_embeddings
+from codepress.reporting import RunReport, load_reports, save_reports
 
 
 def write(tmp_path, name, content):
@@ -121,6 +122,38 @@ class TestEmbeddingFileErrors:
             load_embeddings(path)
 
 
+class TestReportFileErrors:
+    def test_non_json_line_names_line(self, tmp_path):
+        path = write(tmp_path, "reports.jsonl", "\n{not json\n")
+        with pytest.raises(ValueError, match=names(path, 2)):
+            load_reports(path)
+
+    def test_missing_field_names_line(self, tmp_path):
+        path = write(tmp_path, "reports.jsonl", '{"method": "full", "config": {}}\n')
+        with pytest.raises(ValueError, match=names(path, 1) + ".*params_count"):
+            load_reports(path)
+
+    def test_unknown_field_names_line(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0)])
+        path.write_text(path.read_text().replace('"bits"', '"bitz"'))
+        with pytest.raises(ValueError, match=names(path, 1) + ".*bitz"):
+            load_reports(path)
+
+    def test_not_utf8_names_line(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0)])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=names(path, 2) + ".*utf-8"):
+            load_reports(path)
+
+
+def report(seed: int) -> RunReport:
+    return RunReport(method=f"kd[{seed}]", config={"family": "kd", "seed": seed},
+                     params_count=seed, bits=8 * seed, compression_ratio=1.5,
+                     metrics={"val_loss": 0.25}, wall_time_s=None)
+
+
 # -- fuzz: truncated, bit-flipped and header-mangled files ------------------------
 
 
@@ -178,3 +211,13 @@ def test_fuzzed_embedding_files_load_or_name_the_file(tmp_path_factory, seed, da
     raw = path.read_bytes()
     path.write_bytes(data.draw(mangled(raw, raw.index(b"\n") + 1)))
     loads_or_names_file(load_embeddings, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 4), data=st.data())
+def test_fuzzed_report_files_load_or_name_the_file(tmp_path_factory, rows, data):
+    path = tmp_path_factory.mktemp("fuzz") / "reports.jsonl"
+    save_reports(path, [report(i) for i in range(rows)])
+    raw = path.read_bytes()
+    path.write_bytes(data.draw(mangled(raw, raw.index(b"\n") + 1)))
+    loads_or_names_file(load_reports, path)

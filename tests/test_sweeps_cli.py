@@ -5,7 +5,7 @@ import pytest
 
 from codepress.cli import main
 from codepress.codes import load_code_table
-from codepress.composer import load_codebook
+from codepress.composer import DEFAULT_HIDDEN_WIDTH, load_codebook
 from codepress.configfile import (
     DEFAULTS,
     build_code_config,
@@ -15,17 +15,23 @@ from codepress.configfile import (
     parse_config,
 )
 from codepress.datasets import clustered_embeddings, make_vocab, save_embeddings
+from codepress.guidance import GuidanceConfig
 from codepress.reporting import load_reports
 from codepress.sweeps import (
     ABLATION_ORDER,
-    SweepBase,
     ablation_variants,
     derived_seed,
+    load_targets,
     run_ablation,
     run_one,
     sweep,
 )
-from codepress.training import TrainConfig
+from codepress.training import TempSchedule, TrainConfig
+
+
+def config(**values) -> dict:
+    """Parsed-config dict: the documented defaults with ``values`` set."""
+    return {**{k: spec.default for k, spec in DEFAULTS.items()}, **values}
 
 
 class TestConfigFile:
@@ -90,15 +96,20 @@ class TestConfigFile:
         guide = build_guidance_config(settings)
         assert guide.mode == "odg" and guide.keep_prob == 0.6
 
+    def test_defaults_build_the_library_defaults(self):
+        # a config that sets nothing trains exactly as the library defaults do
+        settings = config()
+        assert build_train_config(settings) == TrainConfig()
+        assert build_train_config(settings).schedule == TempSchedule()
+        assert build_guidance_config(settings) == GuidanceConfig()
+        assert settings["hidden_width"] == DEFAULT_HIDDEN_WIDTH
 
-def sweep_base(n=40, dim=6, seed=0, epochs=2):
-    targets, _ = clustered_embeddings(n, dim, 4, np.random.default_rng(seed))
-    return SweepBase(
-        targets=targets,
-        alphabet_size=4,
-        code_length=3,
-        digit_dim=dim,
-        train=TrainConfig(epochs=epochs, batch_size=16, learning_rate=0.02, seed=seed),
+
+def sweep_settings(n=40, dim=6, seed=0, epochs=2):
+    return config(
+        vocab_size=n, embed_dim=dim, synthetic_clusters=4, data_seed=seed,
+        alphabet_size=4, code_length=3, digit_dim=dim,
+        epochs=epochs, batch_size=16, learning_rate=0.02, seed=seed,
     )
 
 
@@ -110,16 +121,15 @@ class TestSweeps:
         assert derived_seed(1, 0) != derived_seed(0, 0)
 
     def test_single_value_sweep_equals_direct_run(self):
-        base = sweep_base()
-        [report] = sweep("alphabet_size", [4], base)
-        direct, _ = run_one(base, derived_seed(0, 0), alphabet_size=4)
+        settings = sweep_settings()
+        [report] = sweep("alphabet_size", [4], settings)
+        direct, _ = run_one(settings, seed=derived_seed(0, 0), alphabet_size=4)
         assert report.method == "kd[alphabet_size=4]"
         assert report.bits == direct.bits
         assert report.metrics == direct.metrics
 
     def test_failed_value_is_preserved_not_raised(self):
-        base = sweep_base()
-        reports = sweep("alphabet_size", [4, 0], base)
+        reports = sweep("alphabet_size", [4, 0], sweep_settings())
         assert len(reports) == 2
         assert not reports[0].method.endswith("FAILED")
         assert reports[1].method == "kd[alphabet_size=0] FAILED"
@@ -127,35 +137,38 @@ class TestSweeps:
         assert reports[1].bits == 0
 
     def test_longer_codes_reconstruct_better(self):
-        base = sweep_base(n=60, dim=8, epochs=25)
-        reports = sweep("code_length", [1, 4], base)
+        reports = sweep("code_length", [1, 4], sweep_settings(n=60, dim=8, epochs=25))
         errs = [r.metrics["reconstruction_mse"] for r in reports]
         assert errs[1] < errs[0]
 
     def test_axis_validation(self):
         with pytest.raises(ValueError, match="axis"):
-            sweep("vocab_size", [10], sweep_base())
+            sweep("vocab_size", [10], sweep_settings())
 
     def test_run_one_echo_supports_accounting(self):
-        base = sweep_base()
-        report, result = run_one(base, 123)
+        report, result = run_one(sweep_settings(), seed=123)
         assert report.config["family"] == "kd"
         assert report.config["seed"] == 123
         assert report.config["extra_params"] == result.book.extra_param_count()
         assert report.metrics["val_loss"] == result.best_val
 
     def test_sweep_reports_carry_wall_time(self):
-        [report] = sweep("alphabet_size", [4], sweep_base())
+        [report] = sweep("alphabet_size", [4], sweep_settings())
         assert report.wall_time_s > 0
+
+
+def rung_configs(settings: dict) -> dict[str, TrainConfig]:
+    return {tag: build_train_config({**settings, **overrides})
+            for tag, overrides in ablation_variants(settings)}
 
 
 class TestAblation:
     def test_ladder_tags_in_order(self):
-        variants = ablation_variants(TrainConfig())
+        variants = ablation_variants(config())
         assert tuple(tag for tag, _ in variants) == ABLATION_ORDER
 
     def test_ladder_wirings(self):
-        variants = dict(ablation_variants(TrainConfig()))
+        variants = rung_configs(config())
         cr = variants["cr"]
         assert not cr.use_straight_through
         assert cr.schedule.kind == "constant"
@@ -173,12 +186,21 @@ class TestAblation:
         pdg_on = variants["pdg_full"]
         assert pdg_on.guidance.mode == "pdg" and pdg_on.guidance.autoencoder
 
+    def test_schedule_rung_keeps_a_decaying_schedule_and_replaces_a_constant_one(self):
+        decaying = config(tau_init=2.0, tau_min=0.5, tau_horizon=7)
+        assert rung_configs(decaying)["cr_ste_sched"].schedule == TempSchedule(
+            tau_init=2.0, tau_min=0.5, horizon=7)
+        assert rung_configs(decaying)["cr"].schedule == TempSchedule(
+            kind="constant", tau_init=2.0, tau_min=2.0, horizon=7)
+        constant = config(schedule_kind="constant", tau_init=0.5, tau_min=0.5)
+        assert rung_configs(constant)["cr_ste_sched"].schedule == TempSchedule()
+
     def test_all_variants_share_the_base_seed(self):
-        variants = ablation_variants(TrainConfig(seed=31))
-        assert all(cfg.seed == 31 for _, cfg in variants)
+        variants = rung_configs(config(seed=31))
+        assert all(cfg.seed == 31 for cfg in variants.values())
 
     def test_run_ablation_produces_six_rows(self):
-        reports = run_ablation(sweep_base(n=30, dim=4, epochs=1))
+        reports = run_ablation(sweep_settings(n=30, dim=4, epochs=1))
         assert [r.method for r in reports] == list(ABLATION_ORDER)
         assert all(r.bits > 0 for r in reports)
 
@@ -223,11 +245,9 @@ class TestCli:
         out = workdir / "run"
         main(["fit-codes", str(workdir / "run.cfg"), "--out-dir", str(out)])
         # synthetic targets regenerate deterministically from the config
-        from codepress.cli import _load_targets
-        from codepress.configfile import parse_config
         from codepress.datasets import VocabTable
 
-        symbols, targets = _load_targets(parse_config(workdir / "run.cfg"))
+        symbols, targets = load_targets(parse_config(workdir / "run.cfg"))
         emb = workdir / "emb.txt"
         save_embeddings(emb, VocabTable(symbols), targets)
         capsys.readouterr()
@@ -289,6 +309,27 @@ class TestCli:
         assert "alphabet_size failed for 1" in captured.err
         reports = load_reports(report_path)
         assert [r.method for r in reports] == ["kd[alphabet_size=4]", "kd[alphabet_size=1] FAILED"]
+
+    def test_sweep_keeps_every_config_key(self, workdir, capsys):
+        # a tied lstm validated on a held-out quarter, with lossy codes refused:
+        # each row is fit-codes of that config at the row's derived seed
+        cfg = workdir / "run.cfg"
+        cfg.write_text(cfg.read_text() + (
+            "composer = lstm\ntie_output_gate = true\n"
+            "val_fraction = 0.25\nallow_lossy = false\nseed = 7\n"
+        ))
+        report_path = workdir / "sweep.jsonl"
+        code = main(["sweep", str(cfg), "--axis", "alphabet_size", "--values", "4,3",
+                     "--out", str(report_path)])
+        assert code == 1  # 3**3 = 27 codes cannot address 40 symbols
+        capsys.readouterr()
+        row, failed = load_reports(report_path)
+        direct, result = run_one(parse_config(cfg), seed=derived_seed(7, 0), alphabet_size=4)
+        assert result.book.tie_output_gate
+        assert result.task.val_ids.size == 10
+        assert (row.params_count, row.config, row.metrics) == (
+            direct.params_count, direct.config, direct.metrics)
+        assert failed.method == "kd[alphabet_size=3] FAILED"
 
     def test_probe_codes_groups_output(self, workdir, capsys):
         out = workdir / "run"
