@@ -3,7 +3,7 @@
 Conventions, fixed across the whole package:
 
 * everything is double precision; float32 appears only in file export,
-* row-major semantics; softmax / one-hot / log act on the last axis,
+* row-major semantics; softmax and one-hot act on the last axis,
 * argmax ties break to the lowest index,
 * randomness always comes from an explicitly passed ``numpy.random.Generator``.
 
@@ -33,8 +33,6 @@ import weakref
 from typing import Callable, Sequence
 
 import numpy as np
-
-LOG_FLOOR = 1e-12
 
 
 class Tensor:
@@ -103,7 +101,8 @@ class RowGrad:
 
     ``indices`` are unique and ascending; ``rows[i]`` is the gradient of row
     ``indices[i]``, duplicate gathers summed in graph order.  Every other row's
-    gradient is exactly zero.
+    gradient is exactly zero.  When one ascending gather read the table,
+    ``rows`` is that gather node's own gradient buffer.
     """
 
     __slots__ = ("indices", "rows")
@@ -118,7 +117,13 @@ class RowGrad:
 
 
 def _coalesce(parts: list[tuple[np.ndarray, np.ndarray]]) -> RowGrad:
-    """Sum (indices, rows) gather contributions into one RowGrad."""
+    """Sum (indices, rows) gather contributions into one RowGrad; a lone
+    gather with strictly ascending indices is already summed and passes
+    through as is."""
+    if len(parts) == 1:
+        idx, rows = parts[0]
+        if np.all(idx[1:] > idx[:-1]):
+            return RowGrad(idx, rows)
     idx = np.concatenate([i for i, _ in parts])
     values = np.concatenate([g for _, g in parts])
     unique, inverse = np.unique(idx, return_inverse=True)
@@ -304,15 +309,18 @@ def softmax_t(a: Tensor, tau: float) -> Tensor:
     """Rowwise (last axis) softmax of ``a / tau``; tau -> 0 approaches hard argmax."""
     if tau <= 0:
         raise ValueError(f"softmax_t: temperature must be positive, got {tau}")
-    z = a.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.data / tau
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Tensor(s, (a,), op="softmax_t")
 
     def _back(g):
         inner = (g * s).sum(axis=-1, keepdims=True)
-        a.grad += (g - inner) * s / tau
+        d = g - inner
+        d *= s
+        d /= tau
+        a.grad += d
 
     return _attach(out, _back)
 
@@ -365,17 +373,6 @@ def relu(a: Tensor) -> Tensor:
 
     def _back(g):
         a.grad += g * (a.data > 0)
-
-    return _attach(out, _back)
-
-
-def log(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
-    """log with a small floor inside; the floor region gets zero gradient."""
-    clipped = np.maximum(a.data, floor)
-    out = Tensor(np.log(clipped), (a,), op="log")
-
-    def _back(g):
-        a.grad += g * (a.data >= floor) / clipped
 
     return _attach(out, _back)
 

@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 LOGIT_INIT_STD = 0.01
+LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,24 @@ def entropy_regularizer(relaxed: Tensor) -> Tensor:
     """Total entropy -sum p*log(p) of all relaxed rows (0*log 0 counts as 0).
 
     Zero exactly when every row is one-hot; a uniform row contributes ln(K).
+    One op with a hand-written backward.  The log takes ``max(p, LOG_FLOOR)``,
+    and below the floor only its own term drops from the gradient: a zero
+    entry's gradient is ``-log(LOG_FLOOR)`` times the upstream gradient.  Value
+    and gradient round as the composite ``-sum(p * log(p))`` of per-op nodes.
     """
-    if np.any(relaxed.data < 0):
+    p = relaxed.data
+    if np.any(p < 0):
         raise ValueError("entropy_regularizer: negative entries")
-    return -ad.tsum(ad.multiply(relaxed, ad.log(relaxed)))
+    clipped = np.maximum(p, LOG_FLOOR)
+    logp = np.log(clipped)
+    out = Tensor((p * logp).sum() * -1.0, (relaxed,), op="entropy")
+
+    def _back(g):
+        c = g * -1.0
+        relaxed.grad += c * logp
+        relaxed.grad += ((c * p) * (p >= LOG_FLOOR)) / clipped
+
+    return ad._attach(out, _back)
 
 
 @dataclass

@@ -122,16 +122,42 @@ def save_reports(path, reports: list[RunReport]) -> None:
             fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
+# the types each report field may hold after JSON parsing; bool, a subclass
+# of int, fits none of them
+_FIELD_TYPES = {
+    "method": (str,),
+    "config": (dict,),
+    "metrics": (dict,),
+    "params_count": (int,),
+    "bits": (int,),
+    "compression_ratio": (int, float),
+    "reconstruction_mse": (int, float, type(None)),
+    "nn_overlap": (int, float, type(None)),
+    "wall_time_s": (int, float, type(None)),
+}
+
+
+def _report_of(record) -> RunReport:
+    report = RunReport(**record)
+    for name, types in _FIELD_TYPES.items():
+        value = getattr(report, name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ValueError(f"'{name}' must be {names}, got {value!r}")
+    return report
+
+
 def load_reports(path) -> list[RunReport]:
-    """Read ``save_reports`` output.  A line that is not UTF-8, not JSON or
-    not a report's fields raises a ``ValueError`` naming the file and line."""
+    """Read ``save_reports`` output.  A line that is not UTF-8, not JSON, not
+    a report's fields or not their JSON types raises a ``ValueError`` naming
+    the file and line."""
     reports = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    reports.append(RunReport(**json.loads(line)))
+                    reports.append(_report_of(json.loads(line)))
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return reports

@@ -74,7 +74,7 @@ def _op_cases(rng: np.random.Generator):
     b = Tensor(rng.normal(size=(m, n)), name="b")
     bias = Tensor(rng.normal(size=(n,)), name="bias")
     w = Tensor(rng.normal(size=(n, k)), name="w")
-    pos = Tensor(rng.uniform(0.5, 2.0, size=(m, n)), name="pos")
+    rng.uniform(0.5, 2.0, size=(m, n))  # keeps every later case on the same random instances
     edged = Tensor(_away_from_zero(rng.normal(size=(m, n))), name="edged")
     stack = Tensor(rng.normal(size=(m, 3, n)), name="stack")
     logits3 = Tensor(rng.normal(size=(m, 2, k)), name="logits3")
@@ -110,7 +110,6 @@ def _op_cases(rng: np.random.Generator):
         ("sigmoid", lambda: through(ad.sigmoid(a), mix_mn), [a]),
         ("tanh", lambda: through(ad.tanh(a), mix_mn), [a]),
         ("relu", lambda: through(ad.relu(edged), mix_mn), [edged]),
-        ("log", lambda: through(ad.log(pos), mix_mn), [pos]),
         ("tsum", lambda: ad.tsum(a), [a]),
         ("squared_error", lambda: ad.squared_error(a, b), [a, b]),
         ("cross_entropy", lambda: ad.cross_entropy_logits(ad.matmul(a, w), labels), [a, w]),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from codepress import autodiff as ad
 from codepress.autodiff import Tensor
-from codepress.codes import CodeConfig
+from codepress.codes import LOG_FLOOR, CodeConfig, entropy_regularizer
 from codepress.composer import ComposerKind, compose_digits, compose_relaxed, init_codebook
 from codepress.datasets import clustered_embeddings
 from codepress.guidance import GuidanceConfig
@@ -62,11 +62,14 @@ class TestForward:
         with pytest.raises(FloatingPointError, match="non-finite"):
             Tensor([1.0, np.inf])
 
-    def test_log_floor(self):
-        x = Tensor([0.0, 1e-15, 1.0])
-        out = ad.log(x).data
-        assert out[0] == out[1] == np.log(1e-12)
-        assert out[2] == 0.0
+    def test_entropy_floor(self):
+        # exact one-hot rows: zero entropy, and the zero entries keep the
+        # finite gradient c * log(LOG_FLOOR) of the floored log, c = -1
+        rows = Tensor([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        out = entropy_regularizer(rows)
+        assert out.item() == 0.0
+        out.backward()
+        assert np.array_equal(rows.grad, np.where(rows.data == 1.0, -1.0, -np.log(LOG_FLOOR)))
 
     def test_gather_rows_is_fancy_indexing(self):
         rng = np.random.default_rng(1)
@@ -95,6 +98,24 @@ class TestForward:
     def test_softmax_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             ad.softmax_t(Tensor([[1.0, 0.0]]), 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 5.0))
+    def test_softmax_matches_the_out_of_place_expressions(self, seed, tau):
+        # forward and backward as written before they computed in place
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 3.0, (4, 3, 5))
+        g = rng.normal(size=x.shape)
+        z = x / tau
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        s_ref = e / e.sum(axis=-1, keepdims=True)
+        grad_ref = (g - (g * s_ref).sum(axis=-1, keepdims=True)) * s_ref / tau
+        a = Tensor(x)
+        out = ad.softmax_t(a, tau)
+        ad.tsum(ad.multiply(out, Tensor(g))).backward()
+        assert np.array_equal(out.data, s_ref)
+        assert np.array_equal(a.grad, grad_ref)
 
 
 class TestBackwardAnalytic:
@@ -211,11 +232,11 @@ class TestFiniteDifferences:
             x = Tensor(vals)
             _fd_case(lambda: ad.tsum(ad.relu(x)), x)
 
-    def test_log_above_floor(self):
+    def test_entropy_above_floor(self):
         rng = np.random.default_rng(8)
         for _ in range(self.N_INSTANCES):
             x = self._rand(rng, (3, 3), low=0.2, high=2.0)
-            _fd_case(lambda: ad.tsum(ad.log(x)), x)
+            _fd_case(lambda: entropy_regularizer(x), x)
 
     def test_gather_select_reshape_concat(self):
         rng = np.random.default_rng(9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codepress import autodiff as ad
 from codepress.autodiff import Tensor
 from codepress.codes import (
+    LOG_FLOOR,
     CodeConfig,
     CodeTable,
     code_groups,
@@ -89,6 +90,29 @@ class TestEntropy:
     def test_rejects_negative_probabilities(self):
         with pytest.raises(ValueError):
             entropy_regularizer(Tensor([[-0.1, 1.1]]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 3.0), st.floats(-4.0, 4.0))
+    def test_matches_the_composite_bit_for_bit(self, seed, tau, upstream):
+        """Value and gradient equal the per-op ``-tsum(multiply(p, log(p)))``
+        rule, rows with exact zeros and with entries below the floor included."""
+        rng = np.random.default_rng(seed)
+        p = ad.softmax_t(Tensor(rng.normal(0.0, 1.0, (6, 3, 4))), tau).data
+        p[0, 0] = [1.0, 0.0, 0.0, 0.0]
+        p[1, 2] = [0.0, 1.0 - 1e-13, 1e-13, 0.0]
+        clipped = np.maximum(p, LOG_FLOOR)
+        logp = np.log(clipped)
+        value_ref = (p * logp).sum() * -1.0
+        # backward of the scale(-1), tsum, multiply and log nodes, in graph order
+        g_mult = np.zeros_like(p) + (0.0 + upstream * -1.0)
+        grad_ref = np.zeros_like(p) + g_mult * logp
+        grad_ref += (np.zeros_like(p) + g_mult * p) * (p >= LOG_FLOOR) / clipped
+
+        relaxed = Tensor(p)
+        out = entropy_regularizer(relaxed)
+        assert np.array_equal(out.data, value_ref)
+        ad.scale(out, upstream).backward()
+        assert np.array_equal(relaxed.grad, grad_ref)
 
 
 class TestExtract:

@@ -2,6 +2,7 @@
 every one is rejected with a ValueError that names the file (and the line, for a
 text body line), so the CLI reports it instead of printing a traceback."""
 
+import json
 import re
 import struct
 
@@ -146,6 +147,39 @@ class TestReportFileErrors:
         path.write_bytes(path.read_bytes() + b"\xff\n")
         with pytest.raises(ValueError, match=names(path, 2) + ".*utf-8"):
             load_reports(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("method", 3),
+        ("config", [1, 2]),
+        ("metrics", "val_loss"),
+        ("params_count", "four"),
+        ("params_count", 4.0),
+        ("bits", True),
+        ("compression_ratio", "1.5"),
+        ("compression_ratio", None),
+        ("reconstruction_mse", "0.1"),
+        ("nn_overlap", [0.5]),
+        ("wall_time_s", False),
+    ])
+    def test_wrong_json_type_names_line(self, tmp_path, field, value):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0), report(1)])
+        good, bad = path.read_text().splitlines()
+        record = json.loads(bad)
+        record[field] = value
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=names(path, 2) + f".*'{field}'"):
+            load_reports(path)
+
+    def test_numbers_and_nulls_load(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0)])
+        record = json.loads(path.read_text())
+        record.update(compression_ratio=2, reconstruction_mse=0, nn_overlap=None,
+                      wall_time_s=1.25)
+        path.write_text(json.dumps(record) + "\n")
+        (loaded,) = load_reports(path)
+        assert loaded.compression_ratio == 2 and loaded.wall_time_s == 1.25
 
 
 def report(seed: int) -> RunReport:

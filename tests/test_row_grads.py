@@ -172,6 +172,39 @@ def test_row_grad_norm_is_the_dense_norm():
     assert ad.grad_norm(dense_of(g, (6, 2))) == 5.0
 
 
+def summed_row_grad(parts):
+    """The summing path: np.unique over all gathered indices, np.add.at."""
+    idx = np.concatenate([i for i, _ in parts])
+    values = np.concatenate([g for _, g in parts])
+    unique, inverse = np.unique(idx, return_inverse=True)
+    rows = np.zeros((unique.size,) + values.shape[1:])
+    np.add.at(rows, inverse, values)
+    return unique, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 11), min_size=0, max_size=12),
+    st.sampled_from(["ascending", "as drawn", "two parts"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_coalesce_passes_a_lone_ascending_gather_through(drawn, layout, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "ascending":
+        drawn = sorted(set(drawn))
+    idx = np.array(drawn, dtype=np.int64)
+    parts = [(idx, rng.normal(size=(idx.size, 3)))]
+    if layout == "two parts":
+        parts.append((idx[::-1].copy(), rng.normal(size=(idx.size, 3))))
+    ref_idx, ref_rows = summed_row_grad(parts)
+    got = ad._coalesce(parts)
+    assert np.array_equal(got.indices, ref_idx)
+    assert np.array_equal(got.rows, ref_rows)
+    lone_ascending = len(parts) == 1 and np.all(np.diff(idx) > 0)
+    # the pass-through hands back the gather's own buffer; every other case sums
+    assert (got.rows is parts[0][1]) == lone_ascending
+
+
 def test_backward_keeps_a_dense_leaf_gradient():
     table = Tensor(np.arange(8.0).reshape(4, 2))
     ad.tsum(ad.gather_rows(table, [1, 1, 3])).backward()
