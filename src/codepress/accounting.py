@@ -99,9 +99,3 @@ def no_collision_probability(
             log_p += math.log1p(-i / space)
         return math.exp(log_p)
     return math.exp(-n * (n - 1) / (2 * space))
-
-
-def expected_collisions(vocab_size: int, alphabet_size: int, code_length: int) -> float:
-    """E[# colliding pairs] = C(N,2) / K^D under uniform random codes."""
-    space = alphabet_size**code_length
-    return vocab_size * (vocab_size - 1) / (2 * space)

@@ -1,5 +1,9 @@
-"""Comparison methods: low-rank factorization, product quantization, scalar
-quantization, random codes, and two-stage pretrained codes.
+"""Comparison methods: the dense reference table, low-rank factorization,
+product quantization, scalar quantization, random codes, and two-stage
+pretrained codes.
+
+The dense reference trains through ``fit`` on the one-hot code (alphabet N,
+code length 1); see ``fit_dense_embedding``.
 
 The ``evaluate_*`` wrappers return a config echo, not storage figures:
 ``reporting.build_report`` derives every method's bits from its echo through
@@ -13,12 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .codes import CodeConfig, CodeTable
-from .composer import CodeBook, ComposerKind
+from .composer import ComposerKind
 from .tasks import ReconstructionTask
-from .training import Adam, FitResult, Sgd, TrainConfig, fit
+from .training import FitResult, TrainConfig, fit
 
 
 # -- low-rank factorization ---------------------------------------------------
@@ -168,25 +170,6 @@ def product_quantize(
     )
 
 
-def pq_as_kd(pq: PQResult, symbols: list[str] | None = None) -> tuple[CodeTable, CodeBook]:
-    """Express a PQ model as a linear-sum coded layer.
-
-    Code position j's block of the digit-vector tensor holds centroid block j
-    zero-padded to the full width, so summing the selected digit vectors
-    reproduces the PQ concatenation exactly.
-    """
-    n, m = pq.assignments.shape
-    k, w = pq.n_centroids, pq.block_width
-    digit_vectors = np.zeros((m, k, m * w))
-    for j in range(m):
-        digit_vectors[j, :, j * w : (j + 1) * w] = pq.centroids[j]
-    if symbols is None:
-        symbols = [str(i) for i in range(n)]
-    table = CodeTable(symbols=symbols, codes=pq.assignments, alphabet_size=k)
-    book = CodeBook(kind=ComposerKind.LINEAR, table=Tensor(digit_vectors, name="table"))
-    return table, book
-
-
 # -- scalar quantization --------------------------------------------------------
 
 
@@ -231,64 +214,27 @@ def scalar_quantize(matrix: np.ndarray, bits: int) -> ScalarQuantResult:
 # -- dense reference model ---------------------------------------------------------
 
 
-@dataclass
-class DenseFitResult:
-    """An uncompressed embedding table trained directly on a task."""
-
-    matrix: np.ndarray
-    history: list[dict]
-    task: object
-
-    def embed_rows(self, indices) -> np.ndarray:
-        return self.matrix[np.asarray(indices, dtype=np.int64)]
-
-    def evaluate(self) -> dict[str, float]:
-        return self.task.evaluate(self.embed_rows)
-
-
-def fit_dense_embedding(task, cfg: TrainConfig | None = None) -> DenseFitResult:
+def fit_dense_embedding(task, cfg: TrainConfig | None = None) -> FitResult:
     """Train a full (vocab, dim) embedding table on the task, no codes.
 
-    This is the reference every compression method is measured against: the
-    same task and optimizer with a free parameter row per symbol.  Task
-    parameters (e.g. a classifier head) train jointly and stay on the task
-    object, so quantized variants of the returned matrix can be re-scored
-    through the same head via ``task.evaluate``.
+    This is the reference every compression method is measured against.  An
+    embedding table is a linear map of the one-hot encoding, which is the
+    coded layer with alphabet N, code length 1 and symbol i coded as the
+    digit i: with no projection, the codebook's (1, N, dim) table is the
+    embedding matrix and each row is a plain lookup.  ``fit`` trains it as a
+    frozen code, so the table takes a dense optimizer update (rows with no
+    gradient yet never move) and the best-validation checkpoint is restored.
+    Task parameters (e.g. a classifier head) train jointly and stay on the
+    task object, so quantized variants of ``embedding_matrix()`` can be
+    re-scored through the same head via ``task.evaluate``.
     """
     if cfg is None:
         cfg = TrainConfig()
-    rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 / np.sqrt(task.embed_dim)
-    table = Tensor(
-        rng.uniform(-scale, scale, (task.vocab_size, task.embed_dim)),
-        name="dense_table",
-    )
-    params = {"dense_table": table, **task.parameters()}
-    if cfg.optimizer == "adam":
-        opt = Adam(params, cfg.learning_rate)
-    else:
-        opt = Sgd(params, cfg.learning_rate)
-    history: list[dict] = []
-    for _ in range(cfg.epochs):
-        losses = []
-        for batch in task.train_batches(cfg.batch_size, rng):
-            rows = ad.gather_rows(table, batch.symbols)
-            loss = task.batch_loss(rows, batch)
-            losses.append(loss.item())
-            grads = ad.gradients(loss, params)
-            if cfg.grad_clip > 0:
-                ad.global_norm_clip(grads, cfg.grad_clip)
-            opt.step(grads)
-        val = task.validation_loss(
-            lambda ids: table.data[np.asarray(ids, dtype=np.int64)]
-        )
-        history.append(
-            {
-                "task_loss": float(np.mean(losses)) if losses else 0.0,
-                "val_metric": float(val),
-            }
-        )
-    return DenseFitResult(matrix=table.data.copy(), history=history, task=task)
+    n = task.vocab_size
+    one_hot = CodeTable(symbols=[str(i) for i in range(n)], codes=np.arange(n)[:, None],
+                        alphabet_size=n)
+    code_cfg = CodeConfig(n, alphabet_size=n, code_length=1, code_embed_dim=task.embed_dim)
+    return fit(task, code_cfg, ComposerKind.LINEAR, cfg, frozen_table=one_hot)
 
 
 # -- code-table baselines --------------------------------------------------------

@@ -118,6 +118,13 @@ def _zeros(shape, name: str) -> Tensor:
     return Tensor(np.zeros(shape), op="leaf", name=name)
 
 
+def _lstm_gates(tied: bool) -> tuple[str, ...]:
+    """The lstm's gate blocks in [t, i, o, m] order, each named by the gate
+    whose ``u_``/``b_`` parameters it uses: a tied output gate uses t's.
+    ``dict.fromkeys`` of it lists the gates that own parameters, in order."""
+    return ("t", "i", "t" if tied else "o", "m")
+
+
 def init_codebook(
     alphabet_size: int,
     code_length: int,
@@ -147,8 +154,7 @@ def init_codebook(
         extras["b_out"] = _zeros((embed_dim,), "b_out")
     else:
         if kind is ComposerKind.LSTM:
-            gates = ["t", "i", "m"] if tie_output_gate else ["t", "i", "o", "m"]
-            for g in gates:
+            for g in dict.fromkeys(_lstm_gates(tie_output_gate)):
                 extras[f"u_{g}"] = _uniform(rng, (digit_dim, digit_dim), scale, f"u_{g}")
                 extras[f"b_{g}"] = _zeros((digit_dim,), f"b_{g}")
         if embed_dim != digit_dim:
@@ -221,7 +227,7 @@ def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
     rounds in the order of the per-node graph it replaces.
     """
     ex = book.extras
-    gates = ("t", "i", "t" if book.tie_output_gate else "o", "m")
+    gates = _lstm_gates(book.tie_output_gate)
     us = [ex[f"u_{g}"] for g in gates]
     bs = [ex[f"b_{g}"] for g in gates]
     u = np.concatenate([p.data for p in us], axis=1)
@@ -359,7 +365,7 @@ def _extra_order(kind: ComposerKind, tied: bool) -> list[str]:
     if kind is ComposerKind.HIDDEN:
         return ["w_hidden", "b_hidden", "w_out", "b_out"]
     if kind is ComposerKind.LSTM:
-        gates = ["t", "i", "m"] if tied else ["t", "i", "o", "m"]
+        gates = dict.fromkeys(_lstm_gates(tied))
         return [f"u_{g}" for g in gates] + [f"b_{g}" for g in gates]
     return []
 

@@ -212,7 +212,7 @@ def compression_comparison(
 
     dense_task = ClassificationTask(corpus, embed_dim, np.random.default_rng(seed + 1),
                                     val_fraction=0.2)
-    dense = fit_dense_embedding(dense_task, cfg)
+    dense = fit_dense_embedding(dense_task, cfg).embedding_matrix()
 
     kd_task = ClassificationTask(corpus, embed_dim, np.random.default_rng(seed + 2),
                                  val_fraction=0.2)
@@ -226,10 +226,10 @@ def compression_comparison(
         return build_report(qr.method, qr.config, metrics={"val_accuracy": scores["val_accuracy"]})
 
     return [
-        rescored(evaluate_full(dense.matrix)),
+        rescored(evaluate_full(dense)),
         build_report(f"kd({alphabet}x{length},{composer})",
                      kd_config(kd.table, kd.book, embed_dim),
                      metrics={"val_accuracy": kd.evaluate()["val_accuracy"]}),
-        rescored(evaluate_pq(dense.matrix, subspaces, centroids, np.random.default_rng(seed + 3))),
-        rescored(evaluate_scalar(dense.matrix, scalar_bits)),
+        rescored(evaluate_pq(dense, subspaces, centroids, np.random.default_rng(seed + 3))),
+        rescored(evaluate_scalar(dense, scalar_bits)),
     ]

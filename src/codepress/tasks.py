@@ -186,6 +186,3 @@ class ClassificationTask:
         val_loss, val_acc = self._loss_acc(embed_rows, val_ids)
         _, train_acc = self._loss_acc(embed_rows, self.train_ids)
         return {"val_loss": val_loss, "val_accuracy": val_acc, "train_accuracy": train_acc}
-
-    def predict(self, embed_rows: EmbedRows, doc_ids: np.ndarray) -> np.ndarray:
-        return np.argmax(self._forward(embed_rows, np.asarray(doc_ids)), axis=-1)

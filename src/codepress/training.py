@@ -441,7 +441,7 @@ def fit(
     )
     best_val = trainer.validate()
     best_epoch = 0
-    best_snap = trainer._snapshot()
+    best_snap = trainer._last_good
     for _ in range(cfg.epochs):
         record = trainer.train_epoch()
         if trainer.aborted:
@@ -449,7 +449,7 @@ def fit(
         if record["val_metric"] < best_val:
             best_val = record["val_metric"]
             best_epoch = len(trainer.history)
-            best_snap = trainer._snapshot()
+            best_snap = trainer._last_good
     trainer._restore(best_snap)
     return FitResult(
         table=trainer.current_table(),

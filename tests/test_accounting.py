@@ -84,11 +84,6 @@ class TestCollisions:
         approx = math.exp(-n * (n - 1) / (2 * 10**12))
         assert abs(exact - approx) < 1e-4
 
-    def test_expected_collisions(self):
-        assert acc.expected_collisions(100, 10, 3) == pytest.approx(
-            100 * 99 / 2 / 1000, abs=1e-12
-        )
-
     def test_monotone_in_vocab(self):
         probs = [acc.no_collision_probability(n, 8, 4) for n in (10, 50, 200, 1000)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))

@@ -11,14 +11,13 @@ from codepress.baselines import (
     evaluate_scalar,
     lloyd_kmeans,
     low_rank_fit,
-    pq_as_kd,
     pretrained_codes,
     product_quantize,
     random_codes,
     scalar_quantize,
 )
 from codepress.codes import CodeConfig
-from codepress.composer import ComposerKind, compose_batch
+from codepress.composer import ComposerKind
 from codepress.datasets import clustered_embeddings
 from codepress.reporting import build_report
 from codepress.tasks import ReconstructionTask
@@ -116,13 +115,6 @@ class TestKMeans:
 
 
 class TestProductQuantization:
-    def test_kd_view_reproduces_pq_reconstruction_exactly(self):
-        rng = np.random.default_rng(9)
-        matrix = rng.normal(size=(24, 8))
-        pq = product_quantize(matrix, subspaces=2, n_centroids=4, rng=rng)
-        table, book = pq_as_kd(pq)
-        assert np.array_equal(compose_batch(table, book).data, pq.reconstruct())
-
     def test_reconstruction_concatenates_blocks(self):
         rng = np.random.default_rng(10)
         matrix = rng.normal(size=(15, 6))

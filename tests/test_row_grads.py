@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from codepress import autodiff as ad
 from codepress.autodiff import RowGrad, Tensor
 from codepress.baselines import fit_dense_embedding, random_codes
-from codepress.codes import CodeConfig
+from codepress.codes import CodeConfig, CodeTable
 from codepress.composer import ComposerKind, compose_digits
 from codepress.datasets import clustered_embeddings, marker_corpus
 from codepress.guidance import GuidanceConfig
@@ -290,37 +290,64 @@ def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
     assert all(isinstance(g, np.ndarray) for g in grads.values())
 
 
-def dense_fit_reference(task, cfg):
-    """fit_dense_embedding's loop on the dense path."""
-    rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 / np.sqrt(task.embed_dim)
-    table = Tensor(rng.uniform(-scale, scale, (task.vocab_size, task.embed_dim)))
-    params = {"dense_table": table, **task.parameters()}
-    opt = DenseAdam(params, cfg.learning_rate) if cfg.optimizer == "adam" else DenseSgd(
-        params, cfg.learning_rate)
-    for _ in range(cfg.epochs):
-        for batch in task.train_batches(cfg.batch_size, rng):
-            grads = dense_grads(task.batch_loss(ad.gather_rows(table, batch.symbols), batch), params)
-            ad.global_norm_clip(grads, cfg.grad_clip)
-            opt.step(grads, {"dense_table": batch.symbols})
-    return table.data
+def one_hot_trainer(task, cfg):
+    """The trainer fit_dense_embedding runs: the frozen one-hot code (K = N, D = 1)."""
+    n = task.vocab_size
+    table = CodeTable([str(i) for i in range(n)], np.arange(n)[:, None], n)
+    return Trainer(task, CodeConfig(n, n, 1, task.embed_dim), ComposerKind.LINEAR, cfg,
+                   frozen_table=table)
+
+
+def dense_task(task_kind):
+    if task_kind == "recon":
+        return recon_task(3)
+    corpus = marker_corpus(np.random.default_rng(5), vocab_size=60, n_docs=80, doc_len=6)
+    return ClassificationTask(corpus, 8, np.random.default_rng(0), val_fraction=0.25)
 
 
 @pytest.mark.parametrize("kind", ["adam", "sgd"])
 @pytest.mark.parametrize("task_kind", ["recon", "classify"])
 def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
-    def make_task():
-        if task_kind == "recon":
-            return recon_task(3)
-        corpus = marker_corpus(np.random.default_rng(5), vocab_size=60, n_docs=80, doc_len=6)
-        return ClassificationTask(corpus, 8, np.random.default_rng(0), val_fraction=0.25)
-
+    """The one-hot code's table takes the dense update of a plain lookup table,
+    and fit_dense_embedding follows that trainer and keeps its best epoch."""
     cfg = train_cfg(kind, 7)
-    ref_task = make_task()
-    init = dense_fit_reference(ref_task, TrainConfig(epochs=0, seed=7)).copy()
-    expected = dense_fit_reference(ref_task, cfg)
-    result = fit_dense_embedding(make_task(), cfg)
-    np.testing.assert_allclose(result.matrix, expected, rtol=0, atol=TOL)
+
+    def lookup_loss(ref):
+        def loss(b, tau):
+            matrix = ad.reshape(ref.book.table, (-1, ref.book.digit_dim))
+            return ref.task.batch_loss(ad.gather_rows(matrix, b.symbols), b)
+        return loss
+
+    init = one_hot_trainer(dense_task(task_kind), cfg).book.table.data[0]
+    tr = check_trainer_matches_dense(lambda: one_hot_trainer(dense_task(task_kind), cfg), kind, [],
+                                     dense_loss=lookup_loss)
+    result = fit_dense_embedding(dense_task(task_kind), cfg)
+    assert result.history == tr.history
+    matrix = result.embedding_matrix()
+    assert np.array_equal(matrix, result.book.table.data[0])
     if task_kind == "recon":
-        val = ref_task.val_ids
-        assert np.array_equal(result.matrix[val], init[val])
+        # validation scores held-out rows, which a lookup table never learns,
+        # so no epoch improves on the initial table
+        assert result.best_epoch == 0
+        assert np.array_equal(matrix, init)
+    else:
+        assert result.best_epoch == cfg.epochs
+        assert np.array_equal(matrix, tr.book.table.data[0])
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(kind):
+    task = recon_task(3)
+    scale = 1.0 / np.sqrt(task.embed_dim)
+    init = np.random.default_rng(7).uniform(-scale, scale, (task.vocab_size, task.embed_dim))
+    untrained = fit_dense_embedding(recon_task(3), TrainConfig(epochs=0, seed=7))
+    assert untrained.book.projection is None
+    assert np.array_equal(untrained.embedding_matrix(), init)
+
+    tr = one_hot_trainer(task, train_cfg(kind, 7))
+    for _ in range(tr.cfg.epochs):
+        tr.train_epoch()
+    table = tr.book.table.data[0]
+    assert not np.array_equal(table[task.train_ids], init[task.train_ids])
+    # held-out rows get a zero gradient every step, so even dense Adam leaves them
+    assert np.array_equal(table[task.val_ids], init[task.val_ids])

@@ -296,13 +296,3 @@ class TestClassificationTask:
             assert np.array_equal(batch.symbols, np.unique(batch.symbols))
             assert batch.doc_matrix.shape == (batch.labels.size, batch.symbols.size)
             assert batch.doc_matrix.sum(axis=1) == pytest.approx(1.0)
-
-    def test_predict_returns_argmax_classes(self):
-        corpus = small_corpus()
-        task = ClassificationTask(corpus, embed_dim=4,
-                                  rng=np.random.default_rng(22), val_fraction=0.0)
-        emb = np.random.default_rng(23).normal(size=(30, 4))
-        ids = np.arange(5)
-        preds = task.predict(lambda i: emb[i], ids)
-        logits = task._forward(lambda i: emb[i], ids)
-        assert np.array_equal(preds, logits.argmax(axis=1))

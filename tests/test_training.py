@@ -287,6 +287,22 @@ class TestFit:
         recomputed = task.validation_loss(result.embed_rows)
         assert recomputed == pytest.approx(result.best_val, rel=1e-12)
 
+    def test_later_epochs_and_aborts_leave_the_best_checkpoint_alone(self):
+        # fit keeps the trainer's own end-of-epoch snapshot as its best
+        # checkpoint, so no later step, abort or restore may write into it
+        tr = Trainer(make_task(), CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=3))
+        tr.train_epoch()
+        best = tr._last_good
+        kept = {name: a.copy() for name, a in best.items()}
+        tr.train_epoch()
+        tr.logits.data[0, 0, 0] = np.nan
+        assert tr.train_epoch()["aborted"]
+        tr._restore(best)
+        for p in tr.params.values():
+            p.data += 1.0
+        for name, a in best.items():
+            assert np.array_equal(a, kept[name]), name
+
     def test_straight_through_equals_hard_table_evaluation(self):
         task = make_task(seed=5)
         tr = Trainer(task, CODE4, ComposerKind.HIDDEN, tiny_cfg(epochs=3))
