@@ -28,7 +28,6 @@ from .codes import (
 from .composer import (
     CodeBook,
     ComposerKind,
-    compose_batch,
     compose_digits,
     compose_relaxed,
     factorization_equivalence_check,

@@ -9,9 +9,11 @@ Conventions, fixed across the whole package:
 
 A computation is expressed by calling ops on ``Tensor`` values; calling
 ``backward()`` on a scalar result accumulates vector-Jacobian products into
-``.grad`` of every node it depends on.  ``gradients()`` returns a ``RowGrad``
-instead of a dense array for a parameter the graph reaches only through
-``gather_rows``, so a step over a large table costs what the batch touches.
+``.grad`` of every node it depends on; ``gradients()`` runs the same pass and
+returns one dense gradient per requested tensor.  Row sparsity is not found
+here: a caller that reads only some rows of a large table makes those rows a
+leaf of their own, and wraps that leaf's gradient as a ``RowGrad`` for the
+clip and the optimizers (``Trainer`` does so for its row-read tables).
 Two ops deliberately lie to the gradient: ``stop_gradient`` (backward is
 zero) and ``straight_through`` (forward is the hard argmax one-hot, backward
 is the identity), so both are rejected by the finite-difference checker when
@@ -44,7 +46,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise FloatingPointError(f"non-finite values in node '{label}'")
         self.data = arr
-        self.grad: np.ndarray | RowGrad | None = None
+        self.grad: np.ndarray | None = None
         self.op = op
         self.name = label
         self._parents = parents
@@ -100,9 +102,9 @@ class RowGrad:
     """Gradient of a table that is nonzero only on some rows.
 
     ``indices`` are unique and ascending; ``rows[i]`` is the gradient of row
-    ``indices[i]``, duplicate gathers summed in graph order.  Every other row's
-    gradient is exactly zero.  When one ascending gather read the table,
-    ``rows`` is that gather node's own gradient buffer.
+    ``indices[i]``, and every other row's gradient is exactly zero.  The
+    caller that read those rows vouches for the indices: nothing here sorts
+    or sums them.
     """
 
     __slots__ = ("indices", "rows")
@@ -111,37 +113,13 @@ class RowGrad:
         self.indices = indices
         self.rows = rows
 
-    @property
-    def nbytes(self) -> int:
-        return self.indices.nbytes + self.rows.nbytes
 
-
-def _coalesce(parts: list[tuple[np.ndarray, np.ndarray]]) -> RowGrad:
-    """Sum (indices, rows) gather contributions into one RowGrad; a lone
-    gather with strictly ascending indices is already summed and passes
-    through as is."""
-    if len(parts) == 1:
-        idx, rows = parts[0]
-        if np.all(idx[1:] > idx[:-1]):
-            return RowGrad(idx, rows)
-    idx = np.concatenate([i for i, _ in parts])
-    values = np.concatenate([g for _, g in parts])
-    unique, inverse = np.unique(idx, return_inverse=True)
-    rows = np.zeros((unique.size,) + values.shape[1:])
-    np.add.at(rows, inverse, values)
-    return RowGrad(unique, rows)
-
-
-def _backprop(loss: Tensor, order: list[Tensor], row_leaves: frozenset[int] = frozenset()):
-    """Run every backward closure of ``order`` (parents first) from ``loss``.
-
-    A leaf in ``row_leaves`` gets a list instead of a zero array: its
-    ``gather_rows`` consumers append their (indices, rows) to it.
-    """
+def _backprop(loss: Tensor, order: list[Tensor]):
+    """Run every backward closure of ``order`` (parents first) from ``loss``."""
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     for node in order:
-        node.grad = [] if id(node) in row_leaves else np.zeros_like(node.data)
+        node.grad = np.zeros_like(node.data)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
@@ -276,10 +254,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = Tensor(a.data[idx], (a,), op="gather_rows")
 
     def _back(g):
-        if isinstance(a.grad, list):
-            a.grad.append((idx, g))
-        else:
-            np.add.at(a.grad, idx, g)
+        np.add.at(a.grad, idx, g)
 
     return _attach(out, _back)
 
@@ -422,33 +397,18 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     return _attach(out, _back)
 
 
-def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray | RowGrad]:
-    """Backward pass returning a fresh gradient per requested parameter.
+def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Backward pass returning the dense gradient of each requested tensor.
 
-    A leaf parameter that every consumer in the graph reads through
-    ``gather_rows`` gets a ``RowGrad``; any other parameter gets a dense array.
-    Raises if the loss is not scalar or a parameter is not part of the graph.
+    Raises if the loss is not scalar or a tensor is not part of the graph.
     """
     order = topo_order(loss)
     members = {id(node) for node in order}
     for pname, p in params.items():
         if id(p) not in members:
             raise ValueError(f"parameter '{pname}' is not in the graph")
-    gathered, dense = set(), set()
-    for node in order:
-        for parent in node._parents:
-            (gathered if node.op == "gather_rows" else dense).add(id(parent))
-    row_leaves = frozenset(
-        id(p) for p in params.values()
-        if p._backward is None and id(p) in gathered and id(p) not in dense
-    )
-    _backprop(loss, order, row_leaves)
-    grads = {}
-    for pname, p in params.items():
-        if id(p) in row_leaves:
-            p.grad = _coalesce(p.grad)
-        grads[pname] = p.grad
-    return grads
+    _backprop(loss, order)
+    return {pname: p.grad for pname, p in params.items()}
 
 
 _FD_OPAQUE = ("straight_through", "stop_gradient")
@@ -502,22 +462,27 @@ def finite_difference_check(
     return worst
 
 
-def _values(grad: np.ndarray | RowGrad) -> np.ndarray:
-    """The stored entries of a gradient: all of a dense one, a RowGrad's rows."""
-    return grad.rows if isinstance(grad, RowGrad) else grad
+def row_view(grad: np.ndarray | RowGrad) -> tuple[np.ndarray | slice, np.ndarray]:
+    """(index, values) of a gradient: a RowGrad's rows at its indices, or a
+    dense gradient whole, as ``(slice(None), grad)``."""
+    if isinstance(grad, RowGrad):
+        return grad.indices, grad.rows
+    return slice(None), grad
 
 
-def grad_norm(grad: np.ndarray | RowGrad) -> float:
-    values = _values(grad)
-    return float(np.sqrt((values * values).sum()))
+def global_norm_clip(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> dict[str, float]:
+    """Rescale all grads in place so their joint L2 norm is at most max_norm.
 
-
-def global_norm_clip(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> float:
-    """Rescale all grads in place so their joint L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float((v * v).sum()) for v in map(_values, grads.values()))))
+    Returns each gradient's own L2 norm from before the clip.
+    """
+    squares = {}
+    for name, g in grads.items():
+        _, values = row_view(g)
+        squares[name] = float((values * values).sum())
+    total = float(np.sqrt(sum(squares.values())))
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads.values():
-            values = _values(g)
+            _, values = row_view(g)
             values *= factor
-    return total
+    return {name: float(np.sqrt(sq)) for name, sq in squares.items()}

@@ -54,8 +54,6 @@ class CodeBook:
     table: Tensor  # (code_length, alphabet, digit_dim); block j is position j
     projection: Tensor | None = None  # (embed_dim, digit_dim), applied as s @ P.T
     extras: dict[str, Tensor] = field(default_factory=dict)
-    hidden_width: int = 0
-    tie_output_gate: bool = False
 
     def __post_init__(self):
         if self.table.data.ndim != 3 or self.table.data.shape[0] < 1:
@@ -75,6 +73,17 @@ class CodeBook:
     @property
     def digit_dim(self) -> int:
         return self.table.data.shape[2]
+
+    @property
+    def hidden_width(self) -> int:
+        """Width of the linear-hidden composer's hidden layer; 0 for the others."""
+        w = self.extras.get("w_hidden")
+        return 0 if w is None else w.data.shape[1]
+
+    @property
+    def tie_output_gate(self) -> bool:
+        """An lstm whose output gate reuses the t-gate weights (it has no ``u_o``)."""
+        return self.kind is ComposerKind.LSTM and "u_o" not in self.extras
 
     @property
     def tables(self) -> list[Tensor]:
@@ -159,15 +168,7 @@ def init_codebook(
                 extras[f"b_{g}"] = _zeros((digit_dim,), f"b_{g}")
         if embed_dim != digit_dim:
             projection = _uniform(rng, (embed_dim, digit_dim), scale, "projection")
-        hidden_width = 0
-    return CodeBook(
-        kind=kind,
-        table=table,
-        projection=projection,
-        extras=extras,
-        hidden_width=hidden_width if kind is ComposerKind.HIDDEN else 0,
-        tie_output_gate=tie_output_gate and kind is ComposerKind.LSTM,
-    )
+    return CodeBook(kind=kind, table=table, projection=projection, extras=extras)
 
 
 def _check_selection(sel: Tensor, book: CodeBook) -> None:
@@ -331,23 +332,18 @@ def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
     return _head(total, book)
 
 
-def compose_batch(table: CodeTable, book: CodeBook) -> Tensor:
-    """Compose every symbol of a hard code table; row i is symbol i."""
-    if table.code_length != book.code_length or table.alphabet_size != book.alphabet_size:
-        raise ValueError("code table and codebook disagree on alphabet/code length")
-    return compose_digits(table.codes, book)
-
-
 def build_factorization(table: CodeTable, book: CodeBook) -> tuple[np.ndarray, np.ndarray]:
     """Linear-sum composition as a binary sparse factorization.
 
     Returns (B, C): B is (vocab, alphabet*code_length) with exactly
     ``code_length`` ones per row (one per block of ``alphabet`` columns), C
     is the digit-vector tensor flattened to (alphabet*code_length, digit_dim),
-    and B @ C reproduces compose_batch.
+    and B @ C reproduces ``compose_digits(table.codes, book)``.
     """
     if book.kind is not ComposerKind.LINEAR or book.projection is not None:
         raise ValueError("factorization requires the linear-sum family with identity projection")
+    if table.code_length != book.code_length or table.alphabet_size != book.alphabet_size:
+        raise ValueError("code table and codebook disagree on alphabet/code length")
     n, d, k = table.vocab_size, table.code_length, table.alphabet_size
     b = np.zeros((n, k * d))
     b[np.arange(n)[:, None], table.codes + k * np.arange(d)] = 1.0
@@ -355,9 +351,9 @@ def build_factorization(table: CodeTable, book: CodeBook) -> tuple[np.ndarray, n
 
 
 def factorization_equivalence_check(table: CodeTable, book: CodeBook) -> float:
-    """Max |compose_batch - B @ C| over all entries."""
+    """Max |compose_digits - B @ C| over all entries of a hard code table."""
     b, c = build_factorization(table, book)
-    composed = compose_batch(table, book).data
+    composed = compose_digits(table.codes, book).data
     return float(np.max(np.abs(composed - b @ c))) if composed.size else 0.0
 
 
@@ -447,6 +443,4 @@ def load_codebook(path) -> CodeBook:
         table=params.pop("table"),
         projection=params.pop("projection", None),
         extras=params,
-        hidden_width=hidden,
-        tie_output_gate=tied,
     )

@@ -9,14 +9,15 @@ Per batch the trainer wires
     loss   = task(v or guidance-mixed v) + gamma_t * entropy + guidance terms
 
 then takes one optimizer step on every parameter group (code logits, codebook,
-task parameters, guidance parameters).  Row sparsity is carried by the
-gradient: ``ad.gradients`` returns a ``RowGrad`` (the batch's unique rows) for
-the code logits and the odg table, which the graph reaches only through
-``gather_rows``, and the optimizers update just those rows, so symbols absent
-from a batch are untouched and a step costs O(batch), not O(vocabulary).
-Every other group gets a dense gradient and a dense update.  Checkpointing keeps
-the parameters with the lowest validation loss under *hard* codes, which is
-exactly the inference regime.
+task parameters, guidance parameters).  The trainer alone knows which tables
+it reads by row: the code logits and odg's table.  It reads the batch's rows
+of each (``batch.symbols``, unique and ascending) into a fresh leaf, so the
+graph never holds the whole table, and wraps that leaf's gradient as a
+``RowGrad``.  The clip and the optimizers then touch just those rows, so
+symbols absent from a batch are untouched and a step costs O(batch), not
+O(vocabulary).  Every other group gets a dense gradient and a dense update.
+Checkpointing keeps the parameters with the lowest validation loss under
+*hard* codes, which is exactly the inference regime.
 """
 
 from __future__ import annotations
@@ -116,11 +117,8 @@ class Sgd:
 
     def step(self, grads: dict[str, np.ndarray | ad.RowGrad]):
         for name, p in self.params.items():
-            g = grads[name]
-            if isinstance(g, ad.RowGrad):
-                p.data[g.indices] -= self.lr * g.rows
-            else:
-                p.data -= self.lr * g
+            r, g = ad.row_view(grads[name])
+            p.data[r] -= self.lr * g
 
 
 class Adam:
@@ -144,19 +142,12 @@ class Adam:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
-            g = grads[name]
-            if isinstance(g, ad.RowGrad):
-                r = g.indices
-                m = self.beta1 * self.m[name][r] + (1 - self.beta1) * g.rows
-                v = self.beta2 * self.v[name][r] + (1 - self.beta2) * g.rows**2
-                self.m[name][r] = m
-                self.v[name][r] = v
-                p.data[r] -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
-            else:
-                self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-                self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g**2
-                update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
-                p.data -= self.lr * update
+            r, g = ad.row_view(grads[name])
+            m = self.beta1 * self.m[name][r] + (1 - self.beta1) * g
+            v = self.beta2 * self.v[name][r] + (1 - self.beta2) * g**2
+            self.m[name][r] = m
+            self.v[name][r] = v
+            p.data[r] -= self.lr * ((m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
 def _ramp(step: int, ramp_steps: int) -> float:
@@ -262,6 +253,7 @@ class Trainer:
         self.step = 0
         self.history: list[dict] = []
         self.aborted = False
+        # each group's gradient norm at the last step, before the clip
         self.last_grad_norms: dict[str, float] = {}
         self._last_good = self._snapshot()
 
@@ -292,17 +284,29 @@ class Trainer:
     # -- one training epoch ---------------------------------------------------
 
     def _batch_loss(self, batch, tau: float):
-        """Assemble the full scalar loss for one batch; returns bookkeeping."""
+        """Assemble the full scalar loss for one batch.
+
+        Returns the loss, the task, entropy and guidance values, and the leaves
+        holding the batch's rows of each table read by row, keyed by the
+        table's parameter name.
+        """
         cfg, g = self.cfg, self.cfg.guidance
-        n_sym = batch.symbols.size
+        symbols = batch.symbols
+        n_sym = symbols.size
+        if n_sym and not (
+            0 <= symbols[0] and symbols[-1] < self.task.vocab_size
+            and np.all(symbols[1:] > symbols[:-1])
+        ):
+            raise ValueError("batch symbols must be strictly ascending ids in [0, vocab_size), "
+                             "as SymbolBatch requires")
+        rows: dict[str, Tensor] = {}
         if self.frozen_table is not None:
-            # compose_digits reads the digit tensor through a reshape, so its
-            # gradient stays dense and the whole tensor takes the Adam update.
-            v = compose_digits(self.frozen_table.codes[batch.symbols], self.book)
+            # no table is read by row: the digit tensor takes a dense gradient
+            v = compose_digits(self.frozen_table.codes[symbols], self.book)
             relaxed = None
             logit_rows = None
         else:
-            logit_rows = ad.gather_rows(self.logits, batch.symbols)
+            logit_rows = rows["code_logits"] = Tensor(self.logits.data[symbols], name="code_logits")
             relaxed = ad.softmax_t(logit_rows, tau)
             sel = ad.straight_through(relaxed) if cfg.use_straight_through else relaxed
             v = compose_relaxed(sel, self.book)
@@ -312,7 +316,7 @@ class Trainer:
         task_input = v
 
         if g.mode == "odg":
-            u_rows = ad.gather_rows(self.u_table, batch.symbols)
+            u_rows = rows["odg_u"] = Tensor(self.u_table.data[symbols], name="odg_u")
             mask = draw_mix_mask(
                 (n_sym, self.task.embed_dim), g.keep_prob, self.rng, g.mask_per_symbol
             )
@@ -322,7 +326,7 @@ class Trainer:
             guidance_val = penalty.item()
             guidance_term = ad.scale(penalty, lam)
         elif g.mode == "pdg":
-            u_batch = self.pretrained[batch.symbols]
+            u_batch = self.pretrained[symbols]
             dist = distillation_loss(
                 logit_rows, u_batch, self.encoder, self.book, tau,
                 g.embed_weight, g.logit_weight,
@@ -346,7 +350,7 @@ class Trainer:
                 loss = loss + ad.scale(entropy, gamma)
         if guidance_term is not None:
             loss = loss + guidance_term
-        return loss, task_val, entropy_val, guidance_val
+        return loss, task_val, entropy_val, guidance_val, rows
 
     def train_epoch(self) -> dict:
         """One seeded-shuffled pass; returns the epoch's metrics record."""
@@ -357,17 +361,17 @@ class Trainer:
         for batch in self.task.train_batches(cfg.batch_size, self.rng):
             tau = self.schedule.temperature(self.step)
             try:
-                loss, task_val, ent_val, guid_val = self._batch_loss(batch, tau)
-                grads = ad.gradients(loss, self.params)
+                loss, task_val, ent_val, guid_val, rows = self._batch_loss(batch, tau)
+                grads = ad.gradients(loss, {**self.params, **rows})
             except FloatingPointError:
                 self.aborted = True
                 self._restore(self._last_good)
                 record = self._record(tau, sums, count, val=None, aborted=True)
                 self.history.append(record)
                 return record
-            if cfg.grad_clip > 0:
-                ad.global_norm_clip(grads, cfg.grad_clip)
-            self.last_grad_norms = {name: ad.grad_norm(g) for name, g in grads.items()}
+            for name in rows:
+                grads[name] = ad.RowGrad(batch.symbols, grads[name])
+            self.last_grad_norms = ad.global_norm_clip(grads, cfg.grad_clip)
             self.opt.step(grads)
             sums += (task_val, ent_val, guid_val)
             count += 1

@@ -15,7 +15,6 @@ from codepress.composer import (
     CodeBook,
     ComposerKind,
     build_factorization,
-    compose_batch,
     compose_digits,
     compose_relaxed,
     factorization_equivalence_check,
@@ -118,7 +117,7 @@ class TestComposeExamples:
         rng = np.random.default_rng(4)
         book = random_book(kind, rng)
         table = random_table(rng, n=20)
-        batch = compose_batch(table, book).data
+        batch = compose_digits(table.codes, book).data
         for i in range(20):
             single = compose_relaxed(one_hot(table.codes[i : i + 1], 3), book).data[0]
             assert np.allclose(batch[i], single, atol=1e-14)
@@ -127,7 +126,7 @@ class TestComposeExamples:
         rng = np.random.default_rng(5)
         book = random_book(ComposerKind.LSTM, rng)
         table = CodeTable(symbols=["a", "b"], codes=[[1, 2], [1, 2]], alphabet_size=3)
-        rows = compose_batch(table, book).data
+        rows = compose_digits(table.codes, book).data
         assert np.array_equal(rows[0], rows[1])
 
 
@@ -137,7 +136,7 @@ class TestGatherMatmulAgreement:
         rng = np.random.default_rng(6)
         book = random_book(kind, rng, k=5, d=3, dprime=4, out=4)
         table = random_table(rng, n=40, k=5, d=3)
-        via_gather = compose_batch(table, book).data
+        via_gather = compose_digits(table.codes, book).data
         via_matmul = compose_relaxed(one_hot(table.codes, 5), book).data
         assert np.array_equal(via_gather, via_matmul)
 
@@ -200,9 +199,9 @@ class TestFactorization:
         rng = np.random.default_rng(11)
         book = random_book(ComposerKind.LINEAR, rng, out=3, dprime=3)
         table = random_table(rng)
-        assert compose_batch(table, book).data.any()
+        assert compose_digits(table.codes, book).data.any()
         book.table.data = np.zeros_like(book.table.data)
-        assert not compose_batch(table, book).data.any()  # the write reached the composer
+        assert not compose_digits(table.codes, book).data.any()  # the write reached the composer
         assert factorization_equivalence_check(table, book) == 0.0
 
     def test_binary_selector_structure(self):
@@ -225,6 +224,13 @@ class TestFactorization:
         table = random_table(rng, n=n, k=k, d=d)
         b, c = build_factorization(table, book)
         assert gauss_rank(b @ c) <= k * d
+
+    def test_rejects_a_table_of_another_code_shape(self):
+        rng = np.random.default_rng(15)
+        book = init_codebook(3, 2, 4, 4, ComposerKind.LINEAR, rng)
+        for k, d in ((4, 2), (3, 3)):
+            with pytest.raises(ValueError, match="disagree"):
+                build_factorization(random_table(rng, k=k, d=d), book)
 
     def test_requires_plain_linear_sum(self):
         rng = np.random.default_rng(14)
@@ -280,7 +286,7 @@ class TestInitAndShapes:
         untied = init_codebook(3, 2, 4, 4, ComposerKind.LSTM, np.random.default_rng(8))
         table = random_table(rng, n=8, k=3, d=2)
         assert not np.array_equal(
-            compose_batch(table, tied).data, compose_batch(table, untied).data
+            compose_digits(table.codes, tied).data, compose_digits(table.codes, untied).data
         )
         # copy shared weights, then force the untied o-gate to equal the t-gate
         for name in ("u_t", "u_i", "u_m"):
@@ -289,8 +295,17 @@ class TestInitAndShapes:
         untied.extras["u_o"].data = tied.extras["u_t"].data.copy()
         untied.extras["b_o"].data = tied.extras["b_t"].data.copy()
         assert np.array_equal(
-            compose_batch(table, tied).data, compose_batch(table, untied).data
+            compose_digits(table.codes, tied).data, compose_digits(table.codes, untied).data
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_width_and_tying_are_read_from_the_extras(self, kind):
+        rng = np.random.default_rng(30)
+        book = init_codebook(3, 2, 4, 4, kind, rng, hidden_width=6, tie_output_gate=True)
+        assert book.hidden_width == (6 if kind is ComposerKind.HIDDEN else 0)
+        assert book.tie_output_gate == (kind is ComposerKind.LSTM)
+        with pytest.raises(AttributeError):
+            book.hidden_width = 9
 
 
 class TestExport:
@@ -326,10 +341,10 @@ class TestExport:
         save_codebook(book, path)
         loaded = load_codebook(path)
         table = random_table(rng, n=6)
-        first = compose_batch(table, loaded).data
+        first = compose_digits(table.codes, loaded).data
         save_codebook(loaded, tmp_path / "book2.bin")
         again = load_codebook(tmp_path / "book2.bin")
-        assert np.array_equal(compose_batch(table, again).data, first)
+        assert np.array_equal(compose_digits(table.codes, again).data, first)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -358,14 +373,6 @@ class TestExport:
 
 
 class TestComposeDigits:
-    def test_matches_table_path(self):
-        rng = np.random.default_rng(25)
-        book = random_book(ComposerKind.HIDDEN, rng)
-        table = random_table(rng, n=12)
-        assert np.array_equal(
-            compose_digits(table.codes, book).data, compose_batch(table, book).data
-        )
-
     def test_validates_digit_range(self):
         rng = np.random.default_rng(26)
         book = random_book(ComposerKind.LINEAR, rng)

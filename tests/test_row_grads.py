@@ -1,10 +1,12 @@
 """Row gradients against the dense path they replace.
 
-The reference here is the dense path: ``backward()`` fills a full ``.grad``
-per parameter, the clip rescales the full arrays, and the optimizers take an
-explicit ``rows`` list for the lazily updated tables.  The row-gradient path
-must give the same gradients and parameter updates to 1e-12, and every row
-that no batch touched must stay bit-identical.
+The row path is the trainer's: the batch's rows of a table enter the graph as
+a fresh leaf, and that leaf's gradient goes to the clip and the optimizers as
+a ``RowGrad``.  The reference is the dense path: ``backward()`` through
+``gather_rows`` fills a full ``.grad`` per parameter, the clip rescales the
+full arrays, and the optimizers take an explicit ``rows`` list for the lazily
+updated tables.  The row path must give the same gradients and parameter
+updates to 1e-12, and every row that no batch touched must stay bit-identical.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from codepress.codes import CodeConfig, CodeTable
 from codepress.composer import ComposerKind, compose_digits
 from codepress.datasets import clustered_embeddings, marker_corpus
 from codepress.guidance import GuidanceConfig
-from codepress.tasks import ClassificationTask, ReconstructionTask
+from codepress.tasks import ClassificationTask, ReconstructionTask, SymbolBatch
 from codepress.training import Adam, Sgd, TempSchedule, TrainConfig, Trainer
 
 TOL = 1e-12
@@ -89,120 +91,61 @@ def assert_params_match(params, ref_params):
         np.testing.assert_allclose(p.data, ref_params[name].data, rtol=0, atol=TOL, err_msg=name)
 
 
-# -- the autodiff layer ----------------------------------------------------------
+# -- the clip and the optimizers ------------------------------------------------
 
 N_ROWS, WIDTH = 7, 3
-index_arrays = st.lists(st.integers(0, N_ROWS - 1), min_size=1, max_size=6)
-# one step gathers the table through one or two nodes; indices may repeat
-step_gathers = st.lists(index_arrays, min_size=1, max_size=2)
+# one step's batch: unique, ascending row ids, as SymbolBatch.symbols are
+batch_rows = st.lists(st.integers(0, N_ROWS - 1), min_size=1, max_size=6, unique=True).map(sorted)
 
 
-def graph_loss(table, w, gathers, dense_use, targets):
-    loss = None
-    for j, idx in enumerate(gathers):
-        rows = ad.gather_rows(table, np.array(idx))
-        out = ad.tanh(rows @ w)
-        term = ad.squared_error(out, Tensor(targets[j][: len(idx)], op="const"))
-        loss = term if loss is None else loss + term
-    if dense_use:
-        loss = loss + ad.squared_error(table, Tensor(targets[2][:N_ROWS], op="const"))
-    return loss
+def row_loss(rows, w, target):
+    return ad.squared_error(ad.tanh(rows @ w), Tensor(target, op="const"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    steps=st.lists(step_gathers, min_size=1, max_size=3),
-    dense_use=st.booleans(),
+    steps=st.lists(batch_rows, min_size=1, max_size=3),
     kind=st.sampled_from(["adam", "sgd"]),
     seed=st.integers(0, 2**16),
 )
-def test_row_gradients_and_updates_match_the_dense_path(steps, dense_use, kind, seed):
+def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
     rng = np.random.default_rng(seed)
     init_table, init_w = rng.normal(size=(N_ROWS, WIDTH)), rng.normal(size=(WIDTH, WIDTH))
     params = {"table": Tensor(init_table.copy()), "w": Tensor(init_w.copy())}
     ref = {"table": Tensor(init_table.copy()), "w": Tensor(init_w.copy())}
     opt, ref_opt = make_optimizers(kind, params, ref, lr=0.1)
     touched = set()
-    for gathers in steps:
-        targets = rng.normal(size=(3, max(N_ROWS, 12), WIDTH))
-        grads = ad.gradients(graph_loss(params["table"], params["w"], gathers, dense_use, targets),
-                             params)
-        ref_grads = dense_grads(graph_loss(ref["table"], ref["w"], gathers, dense_use, targets), ref)
-
-        # on the same parameter values the two backward passes agree bit for bit
-        same = dense_grads(graph_loss(params["table"], params["w"], gathers, dense_use, targets),
-                           params)
-        g = grads["table"]
-        if dense_use:  # a table also read densely keeps a dense gradient
-            assert isinstance(g, np.ndarray)
-            assert np.array_equal(g, same["table"])
-        else:
-            assert isinstance(g, RowGrad)
-            assert np.array_equal(g.indices, np.unique(np.concatenate(gathers)))
-            assert np.array_equal(dense_of(g, (N_ROWS, WIDTH)), same["table"])
-            assert g.nbytes == g.indices.nbytes + g.rows.nbytes
-        assert isinstance(grads["w"], np.ndarray)
-        assert np.array_equal(grads["w"], same["w"])
-        for name, grad in grads.items():
-            if isinstance(grad, RowGrad):
-                grad = dense_of(grad, (N_ROWS, WIDTH))
-            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=TOL, err_msg=name)
+    for idx in steps:
+        idx = np.array(idx)
+        target = rng.normal(size=(idx.size, WIDTH))
+        rows = Tensor(params["table"].data[idx])
+        grads = ad.gradients(row_loss(rows, params["w"], target), {"table": rows, "w": params["w"]})
+        grads["table"] = RowGrad(idx, grads["table"])
+        ref_grads = dense_grads(row_loss(ad.gather_rows(ref["table"], idx), ref["w"], target), ref)
+        np.testing.assert_allclose(dense_of(grads["table"], (N_ROWS, WIDTH)), ref_grads["table"],
+                                   rtol=0, atol=TOL)
+        np.testing.assert_allclose(grads["w"], ref_grads["w"], rtol=0, atol=TOL)
 
         # a fixed clip leaves small-gradient steps unclipped; half the step's
         # dense norm clips every step
         clip = 0.5 * np.sqrt(sum(float((g * g).sum()) for g in ref_grads.values()))
-        norm = ad.global_norm_clip(grads, clip)
-        ref_norm = ad.global_norm_clip(ref_grads, clip)
-        assert norm > clip
-        assert norm == pytest.approx(ref_norm, rel=TOL)
-        lazy = {} if dense_use else {"table": np.concatenate(gathers)}
+        norms = ad.global_norm_clip(grads, clip)
+        ref_norms = ad.global_norm_clip(ref_grads, clip)
+        assert np.sqrt(sum(n * n for n in norms.values())) > clip
+        assert norms == pytest.approx(ref_norms, rel=TOL)
         opt.step(grads)
-        ref_opt.step(ref_grads, lazy)
-        touched.update(np.concatenate(gathers).tolist())
+        ref_opt.step(ref_grads, {"table": idx})
+        touched.update(idx.tolist())
         assert_params_match(params, ref)
 
-    if not dense_use:
-        absent = sorted(set(range(N_ROWS)) - touched)
-        assert np.array_equal(params["table"].data[absent], init_table[absent])
+    absent = sorted(set(range(N_ROWS)) - touched)
+    assert np.array_equal(params["table"].data[absent], init_table[absent])
 
 
 def test_row_grad_norm_is_the_dense_norm():
     g = RowGrad(np.array([1, 4]), np.array([[3.0, 0.0], [0.0, 4.0]]))
-    assert ad.grad_norm(g) == 5.0
-    assert ad.grad_norm(dense_of(g, (6, 2))) == 5.0
-
-
-def summed_row_grad(parts):
-    """The summing path: np.unique over all gathered indices, np.add.at."""
-    idx = np.concatenate([i for i, _ in parts])
-    values = np.concatenate([g for _, g in parts])
-    unique, inverse = np.unique(idx, return_inverse=True)
-    rows = np.zeros((unique.size,) + values.shape[1:])
-    np.add.at(rows, inverse, values)
-    return unique, rows
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 11), min_size=0, max_size=12),
-    st.sampled_from(["ascending", "as drawn", "two parts"]),
-    st.integers(0, 2**32 - 1),
-)
-def test_coalesce_passes_a_lone_ascending_gather_through(drawn, layout, seed):
-    rng = np.random.default_rng(seed)
-    if layout == "ascending":
-        drawn = sorted(set(drawn))
-    idx = np.array(drawn, dtype=np.int64)
-    parts = [(idx, rng.normal(size=(idx.size, 3)))]
-    if layout == "two parts":
-        parts.append((idx[::-1].copy(), rng.normal(size=(idx.size, 3))))
-    ref_idx, ref_rows = summed_row_grad(parts)
-    got = ad._coalesce(parts)
-    assert np.array_equal(got.indices, ref_idx)
-    assert np.array_equal(got.rows, ref_rows)
-    lone_ascending = len(parts) == 1 and np.all(np.diff(idx) > 0)
-    # the pass-through hands back the gather's own buffer; every other case sums
-    assert (got.rows is parts[0][1]) == lone_ascending
+    assert ad.global_norm_clip({"g": g}, 0.0) == {"g": 5.0}
+    assert ad.global_norm_clip({"g": dense_of(g, (6, 2))}, 0.0) == {"g": 5.0}
 
 
 def test_backward_keeps_a_dense_leaf_gradient():
@@ -227,10 +170,21 @@ def train_cfg(kind, seed, **kw):
 
 
 def dense_epoch(tr, opt, lazy_names, batch_loss):
-    """One epoch of the dense path on ``tr``: full gradients, full clip."""
+    """One epoch of the dense path on ``tr``: full gradients, full clip.
+
+    ``batch_loss`` returns the loss and the leaves holding a batch's rows of
+    tables read by row; their gradients are scattered into full-size arrays.
+    """
     for batch in tr.task.train_batches(tr.cfg.batch_size, tr.rng):
-        loss = batch_loss(batch, tr.schedule.temperature(tr.step))
-        grads = dense_grads(loss, tr.params)
+        loss, rows = batch_loss(batch, tr.schedule.temperature(tr.step))
+        loss.backward()
+        grads = {}
+        for name, p in tr.params.items():
+            if name in rows:
+                grads[name] = np.zeros_like(p.data)
+                grads[name][batch.symbols] = rows[name].grad
+            else:
+                grads[name] = p.grad.copy()
         ad.global_norm_clip(grads, tr.cfg.grad_clip)
         opt.step(grads, {name: batch.symbols for name in lazy_names})
         tr.step += 1
@@ -240,7 +194,12 @@ def check_trainer_matches_dense(make_trainer, kind, lazy_names, dense_loss=None)
     tr, ref = make_trainer(), make_trainer()
     ref_opt = DenseAdam(ref.params, ref.cfg.learning_rate) if kind == "adam" else DenseSgd(
         ref.params, ref.cfg.learning_rate)
-    batch_loss = dense_loss(ref) if dense_loss else lambda b, tau: ref._batch_loss(b, tau)[0]
+    if dense_loss:
+        batch_loss = dense_loss(ref)
+    else:
+        def batch_loss(b, tau):
+            loss, *_, rows = ref._batch_loss(b, tau)
+            return loss, rows
     init = {name: p.data.copy() for name, p in tr.params.items()}
     for _ in range(tr.cfg.epochs):
         tr.train_epoch()
@@ -264,9 +223,11 @@ def test_odg_trainer_matches_the_dense_path(kind, seed):
 
     tr = check_trainer_matches_dense(make, kind, ["code_logits", "odg_u"])
     batch = tr.task.train_batches(16, np.random.default_rng(0))[0]
-    grads = ad.gradients(tr._batch_loss(batch, 0.5)[0], tr.params)
-    lazy = {name for name, g in grads.items() if isinstance(g, RowGrad)}
-    assert lazy == {"code_logits", "odg_u"}
+    rows = tr._batch_loss(batch, 0.5)[-1]
+    assert set(rows) == {"code_logits", "odg_u"}
+    for name, leaf in rows.items():
+        assert leaf._parents == ()
+        assert np.array_equal(leaf.data, tr.params[name].data[batch.symbols])
 
 
 @settings(max_examples=4, deadline=None)
@@ -282,12 +243,12 @@ def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
                        frozen_table=table)
 
     def digits_loss(ref):
-        return lambda b, tau: ref.task.batch_loss(compose_digits(table.codes[b.symbols], ref.book), b)
+        return lambda b, tau: (
+            ref.task.batch_loss(compose_digits(table.codes[b.symbols], ref.book), b), {})
 
     tr = check_trainer_matches_dense(make, kind, [], dense_loss=digits_loss)
     batch = tr.task.train_batches(16, np.random.default_rng(0))[0]
-    grads = ad.gradients(tr._batch_loss(batch, 0.5)[0], tr.params)
-    assert all(isinstance(g, np.ndarray) for g in grads.values())
+    assert tr._batch_loss(batch, 0.5)[-1] == {}  # no table is read by row
 
 
 def one_hot_trainer(task, cfg):
@@ -315,7 +276,7 @@ def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
     def lookup_loss(ref):
         def loss(b, tau):
             matrix = ad.reshape(ref.book.table, (-1, ref.book.digit_dim))
-            return ref.task.batch_loss(ad.gather_rows(matrix, b.symbols), b)
+            return ref.task.batch_loss(ad.gather_rows(matrix, b.symbols), b), {}
         return loss
 
     init = one_hot_trainer(dense_task(task_kind), cfg).book.table.data[0]
@@ -351,3 +312,19 @@ def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(k
     assert not np.array_equal(table[task.train_ids], init[task.train_ids])
     # held-out rows get a zero gradient every step, so even dense Adam leaves them
     assert np.array_equal(table[task.val_ids], init[task.val_ids])
+
+
+@pytest.mark.parametrize("symbols", [[3, 1, 5], [1, 3, 3], [-1, 2], [2, 40]])
+def test_trainer_rejects_batches_off_the_symbol_contract(symbols):
+    """Row updates assume unique, ascending, in-range batch symbols: a repeated
+    row would keep only its last Adam write, so such a batch must raise."""
+    code_cfg = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
+    tr = Trainer(recon_task(), code_cfg, ComposerKind.LINEAR,
+                 train_cfg("adam", 0, guidance=GuidanceConfig(mode="odg")))
+    batch = SymbolBatch(symbols=np.array(symbols), targets=np.zeros((len(symbols), 8)))
+    tr.task.train_batches = lambda batch_size, rng: [batch]
+    before = tr._snapshot()
+    with pytest.raises(ValueError, match="SymbolBatch"):
+        tr.train_epoch()
+    for name, p in tr.params.items():
+        assert np.array_equal(p.data, before[name]), name
