@@ -10,10 +10,10 @@ Conventions, fixed across the whole package:
 A computation is expressed by calling ops on ``Tensor`` values; calling
 ``backward()`` on a scalar result accumulates vector-Jacobian products into
 ``.grad`` of every node it depends on; ``gradients()`` runs the same pass and
-returns one dense gradient per requested tensor.  Row sparsity is not found
-here: a caller that reads only some rows of a large table makes those rows a
-leaf of their own, and wraps that leaf's gradient as a ``RowGrad`` for the
-clip and the optimizers (``Trainer`` does so for its row-read tables).
+returns one dense gradient per requested tensor.  Nothing here knows about
+rows: a caller that reads only some rows of a large table makes those rows a
+leaf of their own and gets that leaf's gradient back (``Trainer`` does so for
+its row-read tables, and tells the optimizer which rows they are).
 Two ops deliberately lie to the gradient: ``stop_gradient`` (backward is
 zero) and ``straight_through`` (forward is the hard argmax one-hot, backward
 is the identity), so both are rejected by the finite-difference checker when
@@ -96,22 +96,6 @@ class Tensor:
     def backward(self) -> None:
         """Reverse accumulation from this scalar into .grad of all ancestors."""
         _backprop(self, topo_order(self))
-
-
-class RowGrad:
-    """Gradient of a table that is nonzero only on some rows.
-
-    ``indices`` are unique and ascending; ``rows[i]`` is the gradient of row
-    ``indices[i]``, and every other row's gradient is exactly zero.  The
-    caller that read those rows vouches for the indices: nothing here sorts
-    or sums them.
-    """
-
-    __slots__ = ("indices", "rows")
-
-    def __init__(self, indices: np.ndarray, rows: np.ndarray):
-        self.indices = indices
-        self.rows = rows
 
 
 def _backprop(loss: Tensor, order: list[Tensor]):
@@ -462,27 +446,15 @@ def finite_difference_check(
     return worst
 
 
-def row_view(grad: np.ndarray | RowGrad) -> tuple[np.ndarray | slice, np.ndarray]:
-    """(index, values) of a gradient: a RowGrad's rows at its indices, or a
-    dense gradient whole, as ``(slice(None), grad)``."""
-    if isinstance(grad, RowGrad):
-        return grad.indices, grad.rows
-    return slice(None), grad
-
-
-def global_norm_clip(grads: dict[str, np.ndarray | RowGrad], max_norm: float) -> dict[str, float]:
+def global_norm_clip(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, float]:
     """Rescale all grads in place so their joint L2 norm is at most max_norm.
 
     Returns each gradient's own L2 norm from before the clip.
     """
-    squares = {}
-    for name, g in grads.items():
-        _, values = row_view(g)
-        squares[name] = float((values * values).sum())
+    squares = {name: float((g * g).sum()) for name, g in grads.items()}
     total = float(np.sqrt(sum(squares.values())))
     if total > max_norm > 0:
         factor = max_norm / total
         for g in grads.values():
-            _, values = row_view(g)
-            values *= factor
+            g *= factor
     return {name: float(np.sqrt(sq)) for name, sq in squares.items()}

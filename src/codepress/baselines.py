@@ -227,7 +227,14 @@ def fit_dense_embedding(task, cfg: TrainConfig | None = None) -> FitResult:
     Task parameters (e.g. a classifier head) train jointly and stay on the
     task object, so quantized variants of ``embedding_matrix()`` can be
     re-scored through the same head via ``task.evaluate``.
+
+    A ``ReconstructionTask`` with held-out rows raises: validation scores only
+    those rows, which a lookup table never trains, so no epoch could improve
+    on the initial table.
     """
+    if isinstance(task, ReconstructionTask) and task.val_ids.size:
+        raise ValueError("a reconstruction task validates on its held-out rows only, which a "
+                         "dense table never trains; use val_fraction=0")
     if cfg is None:
         cfg = TrainConfig()
     n = task.vocab_size

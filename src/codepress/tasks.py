@@ -171,9 +171,7 @@ class ClassificationTask:
     def _loss_acc(self, embed_rows: EmbedRows, doc_ids: np.ndarray) -> tuple[float, float]:
         logits = self._forward(embed_rows, doc_ids)
         labels = self.labels[doc_ids]
-        z = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        loss = float(-log_probs[np.arange(labels.size), labels].mean())
+        loss = ad.cross_entropy_logits(Tensor(logits), labels).item()
         acc = float((np.argmax(logits, axis=-1) == labels).mean())
         return loss, acc
 

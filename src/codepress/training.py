@@ -12,10 +12,11 @@ then takes one optimizer step on every parameter group (code logits, codebook,
 task parameters, guidance parameters).  The trainer alone knows which tables
 it reads by row: the code logits and odg's table.  It reads the batch's rows
 of each (``batch.symbols``, unique and ascending) into a fresh leaf, so the
-graph never holds the whole table, and wraps that leaf's gradient as a
-``RowGrad``.  The clip and the optimizers then touch just those rows, so
-symbols absent from a batch are untouched and a step costs O(batch), not
-O(vocabulary).  Every other group gets a dense gradient and a dense update.
+graph never holds the whole table and the leaf's gradient is just those rows.
+The clip scales that gradient like any other, and the optimizer takes the
+row ids beside it, so symbols absent from a batch are untouched and a step
+costs O(batch), not O(vocabulary).  Every other group gets a dense gradient
+and a dense update.
 Checkpointing keeps the parameters with the lowest validation loss under
 *hard* codes, which is exactly the inference regime.
 """
@@ -109,24 +110,30 @@ class TrainConfig:
 
 
 class Sgd:
-    """Plain gradient step; a ``RowGrad`` moves only its rows."""
+    """Plain gradient step; a table named in ``rows`` moves only those rows.
+
+    ``step(grads, rows)``: ``rows[name]`` holds the row ids that ``grads[name]``
+    is the gradient of, one gradient row per id.  The ids are unique and
+    ascending; the caller that read those rows vouches for them, and nothing
+    here sorts or sums them.  A name missing from ``rows`` takes a dense step.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
 
-    def step(self, grads: dict[str, np.ndarray | ad.RowGrad]):
+    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray]):
         for name, p in self.params.items():
-            r, g = ad.row_view(grads[name])
-            p.data[r] -= self.lr * g
+            p.data[rows.get(name, slice(None))] -= self.lr * grads[name]
 
 
 class Adam:
     """Adaptive-moment optimizer with lazy row updates for large tables.
 
-    For a parameter whose gradient is a ``RowGrad`` only its rows advance
-    (their first/second moments and values); all other rows stay
-    bit-identical.  Bias correction uses the global step count.
+    ``step(grads, rows)`` takes the same arguments as ``Sgd.step``, under the
+    same contract on the row ids.  For a parameter named in ``rows`` only
+    those rows advance (their first/second moments and values); all other
+    rows stay bit-identical.  Bias correction uses the global step count.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -137,12 +144,12 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray | ad.RowGrad]):
+    def step(self, grads: dict[str, np.ndarray], rows: dict[str, np.ndarray]):
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
-            r, g = ad.row_view(grads[name])
+            r, g = rows.get(name, slice(None)), grads[name]
             m = self.beta1 * self.m[name][r] + (1 - self.beta1) * g
             v = self.beta2 * self.v[name][r] + (1 - self.beta2) * g**2
             self.m[name][r] = m
@@ -369,10 +376,8 @@ class Trainer:
                 record = self._record(tau, sums, count, val=None, aborted=True)
                 self.history.append(record)
                 return record
-            for name in rows:
-                grads[name] = ad.RowGrad(batch.symbols, grads[name])
             self.last_grad_norms = ad.global_norm_clip(grads, cfg.grad_clip)
-            self.opt.step(grads)
+            self.opt.step(grads, dict.fromkeys(rows, batch.symbols))
             sums += (task_val, ent_val, guid_val)
             count += 1
             self.step += 1
@@ -418,31 +423,15 @@ class FitResult:
         return self.task.evaluate(self.embed_rows)
 
 
-def fit(
-    task,
-    code_cfg: CodeConfig,
-    composer_kind: ComposerKind | str,
-    cfg: TrainConfig,
-    *,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    tie_output_gate: bool = False,
-    pretrained: np.ndarray | None = None,
-    frozen_table: CodeTable | None = None,
-    symbols: list[str] | None = None,
-) -> FitResult:
+def fit(task, code_cfg: CodeConfig, composer_kind: ComposerKind | str, cfg: TrainConfig,
+        **options) -> FitResult:
     """Train codes + composer + task end-to-end; keep the best-validation
-    checkpoint (hard-code evaluation) and extract the final code table from it."""
-    trainer = Trainer(
-        task,
-        code_cfg,
-        composer_kind,
-        cfg,
-        hidden_width=hidden_width,
-        tie_output_gate=tie_output_gate,
-        pretrained=pretrained,
-        frozen_table=frozen_table,
-        symbols=symbols,
-    )
+    checkpoint (hard-code evaluation) and extract the final code table from it.
+
+    ``options`` go to ``Trainer`` unchanged: ``hidden_width``,
+    ``tie_output_gate``, ``pretrained``, ``frozen_table`` and ``symbols``.
+    """
+    trainer = Trainer(task, code_cfg, composer_kind, cfg, **options)
     best_val = trainer.validate()
     best_epoch = 0
     best_snap = trainer._last_good

@@ -1,12 +1,13 @@
 """Row gradients against the dense path they replace.
 
 The row path is the trainer's: the batch's rows of a table enter the graph as
-a fresh leaf, and that leaf's gradient goes to the clip and the optimizers as
-a ``RowGrad``.  The reference is the dense path: ``backward()`` through
-``gather_rows`` fills a full ``.grad`` per parameter, the clip rescales the
-full arrays, and the optimizers take an explicit ``rows`` list for the lazily
-updated tables.  The row path must give the same gradients and parameter
-updates to 1e-12, and every row that no batch touched must stay bit-identical.
+a fresh leaf, that leaf's gradient goes to the clip as it is, and the
+optimizer takes it with the batch's row ids.  The reference is the dense path:
+``backward()`` through ``gather_rows`` fills a full ``.grad`` per parameter,
+the clip rescales the full arrays, and the reference optimizers index those
+full arrays at the same row ids.  The row path must give the same gradients
+and parameter updates to 1e-12, and every row that no batch touched must stay
+bit-identical.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codepress import autodiff as ad
-from codepress.autodiff import RowGrad, Tensor
+from codepress.autodiff import Tensor
 from codepress.baselines import fit_dense_embedding, random_codes
 from codepress.codes import CodeConfig, CodeTable
 from codepress.composer import ComposerKind, compose_digits
@@ -74,12 +75,6 @@ def dense_grads(loss, params):
     return {name: p.grad.copy() for name, p in params.items()}
 
 
-def dense_of(g: RowGrad, shape) -> np.ndarray:
-    dense = np.zeros(shape)
-    dense[g.indices] = g.rows
-    return dense
-
-
 def make_optimizers(kind, params, ref_params, lr):
     if kind == "adam":
         return Adam(params, lr), DenseAdam(ref_params, lr)
@@ -120,10 +115,10 @@ def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
         target = rng.normal(size=(idx.size, WIDTH))
         rows = Tensor(params["table"].data[idx])
         grads = ad.gradients(row_loss(rows, params["w"], target), {"table": rows, "w": params["w"]})
-        grads["table"] = RowGrad(idx, grads["table"])
         ref_grads = dense_grads(row_loss(ad.gather_rows(ref["table"], idx), ref["w"], target), ref)
-        np.testing.assert_allclose(dense_of(grads["table"], (N_ROWS, WIDTH)), ref_grads["table"],
-                                   rtol=0, atol=TOL)
+        np.testing.assert_allclose(grads["table"], ref_grads["table"][idx], rtol=0, atol=TOL)
+        absent = np.setdiff1d(np.arange(N_ROWS), idx)
+        assert not ref_grads["table"][absent].any()
         np.testing.assert_allclose(grads["w"], ref_grads["w"], rtol=0, atol=TOL)
 
         # a fixed clip leaves small-gradient steps unclipped; half the step's
@@ -133,7 +128,7 @@ def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
         ref_norms = ad.global_norm_clip(ref_grads, clip)
         assert np.sqrt(sum(n * n for n in norms.values())) > clip
         assert norms == pytest.approx(ref_norms, rel=TOL)
-        opt.step(grads)
+        opt.step(grads, {"table": idx})
         ref_opt.step(ref_grads, {"table": idx})
         touched.update(idx.tolist())
         assert_params_match(params, ref)
@@ -143,9 +138,19 @@ def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
 
 
 def test_row_grad_norm_is_the_dense_norm():
-    g = RowGrad(np.array([1, 4]), np.array([[3.0, 0.0], [0.0, 4.0]]))
-    assert ad.global_norm_clip({"g": g}, 0.0) == {"g": 5.0}
-    assert ad.global_norm_clip({"g": dense_of(g, (6, 2))}, 0.0) == {"g": 5.0}
+    """The clip reads a row leaf's gradient as it is; its norm is the norm of
+    the table's dense gradient, whose other rows are zero."""
+    table = Tensor(np.zeros((6, 2)))
+    idx = np.array([1, 4])
+    target = Tensor(np.array([[1.5, 0.0], [0.0, 2.0]]), op="const")
+    rows = Tensor(table.data[idx])
+    row_grad = ad.gradients(ad.squared_error(rows, target), {"table": rows})
+    dense = dense_grads(ad.squared_error(ad.gather_rows(table, idx), target), {"table": table})
+    scattered = np.zeros_like(table.data)
+    scattered[idx] = row_grad["table"]
+    assert np.array_equal(dense["table"], scattered)
+    assert ad.global_norm_clip(row_grad, 0.0) == {"table": 5.0}
+    assert ad.global_norm_clip(dense, 0.0) == {"table": 5.0}
 
 
 def test_backward_keeps_a_dense_leaf_gradient():
@@ -157,9 +162,9 @@ def test_backward_keeps_a_dense_leaf_gradient():
 # -- the trainer and the dense baseline -----------------------------------------
 
 
-def recon_task(seed=0):
+def recon_task(seed=0, val_fraction=0.25):
     targets, _ = clustered_embeddings(40, 8, 4, np.random.default_rng(seed))
-    return ReconstructionTask(targets, val_fraction=0.25, split_seed=seed)
+    return ReconstructionTask(targets, val_fraction=val_fraction, split_seed=seed)
 
 
 def train_cfg(kind, seed, **kw):
@@ -270,7 +275,10 @@ def dense_task(task_kind):
 @pytest.mark.parametrize("task_kind", ["recon", "classify"])
 def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
     """The one-hot code's table takes the dense update of a plain lookup table,
-    and fit_dense_embedding follows that trainer and keeps its best epoch."""
+    and fit_dense_embedding follows that trainer and keeps its best epoch.
+
+    On the reconstruction task validation scores only held-out rows, which a
+    lookup table never learns, so fit_dense_embedding refuses it."""
     cfg = train_cfg(kind, 7)
 
     def lookup_loss(ref):
@@ -279,21 +287,18 @@ def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
             return ref.task.batch_loss(ad.gather_rows(matrix, b.symbols), b), {}
         return loss
 
-    init = one_hot_trainer(dense_task(task_kind), cfg).book.table.data[0]
     tr = check_trainer_matches_dense(lambda: one_hot_trainer(dense_task(task_kind), cfg), kind, [],
                                      dense_loss=lookup_loss)
+    if task_kind == "recon":
+        with pytest.raises(ValueError, match="held-out rows"):
+            fit_dense_embedding(dense_task(task_kind), cfg)
+        return
     result = fit_dense_embedding(dense_task(task_kind), cfg)
     assert result.history == tr.history
     matrix = result.embedding_matrix()
     assert np.array_equal(matrix, result.book.table.data[0])
-    if task_kind == "recon":
-        # validation scores held-out rows, which a lookup table never learns,
-        # so no epoch improves on the initial table
-        assert result.best_epoch == 0
-        assert np.array_equal(matrix, init)
-    else:
-        assert result.best_epoch == cfg.epochs
-        assert np.array_equal(matrix, tr.book.table.data[0])
+    assert result.best_epoch == cfg.epochs
+    assert np.array_equal(matrix, tr.book.table.data[0])
 
 
 @pytest.mark.parametrize("kind", ["adam", "sgd"])
@@ -301,7 +306,7 @@ def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(k
     task = recon_task(3)
     scale = 1.0 / np.sqrt(task.embed_dim)
     init = np.random.default_rng(7).uniform(-scale, scale, (task.vocab_size, task.embed_dim))
-    untrained = fit_dense_embedding(recon_task(3), TrainConfig(epochs=0, seed=7))
+    untrained = fit_dense_embedding(recon_task(3, val_fraction=0.0), TrainConfig(epochs=0, seed=7))
     assert untrained.book.projection is None
     assert np.array_equal(untrained.embedding_matrix(), init)
 
@@ -312,6 +317,21 @@ def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(k
     assert not np.array_equal(table[task.train_ids], init[task.train_ids])
     # held-out rows get a zero gradient every step, so even dense Adam leaves them
     assert np.array_equal(table[task.val_ids], init[task.val_ids])
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_fit_dense_embedding_trains_a_reconstruction_task_without_held_out_rows(kind):
+    """With no held-out rows validation scores the trained rows, so every
+    epoch improves and fit keeps the last one; held-out rows raise."""
+    cfg = train_cfg(kind, 7)
+    with pytest.raises(ValueError, match="held-out rows"):
+        fit_dense_embedding(recon_task(3), cfg)
+    initial = one_hot_trainer(recon_task(3, val_fraction=0.0), cfg).validate()
+    result = fit_dense_embedding(recon_task(3, val_fraction=0.0), cfg)
+    vals = [initial] + [record["val_metric"] for record in result.history]
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+    assert result.best_epoch == cfg.epochs
+    assert result.best_val == vals[-1]
 
 
 @pytest.mark.parametrize("symbols", [[3, 1, 5], [1, 3, 3], [-1, 2], [2, 40]])

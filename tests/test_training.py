@@ -95,14 +95,13 @@ class TestTrainConfig:
 class TestOptimizers:
     def test_sgd_is_exact_gradient_step(self):
         p = Tensor(np.array([1.0, 2.0, 3.0]), name="p")
-        Sgd({"p": p}, lr=0.5).step({"p": np.array([2.0, -4.0, 0.0])})
+        Sgd({"p": p}, lr=0.5).step({"p": np.array([2.0, -4.0, 0.0])}, {})
         assert np.array_equal(p.data, [0.0, 4.0, 3.0])
 
     def test_sgd_row_updates_leave_other_rows_untouched(self):
         data = np.arange(6.0).reshape(3, 2)
         p = Tensor(data.copy(), name="p")
-        grad = ad.RowGrad(np.array([1]), np.ones((1, 2)))
-        Sgd({"p": p}, lr=1.0).step({"p": grad})
+        Sgd({"p": p}, lr=1.0).step({"p": np.ones((1, 2))}, {"p": np.array([1])})
         assert np.array_equal(p.data[0], data[0])
         assert np.array_equal(p.data[2], data[2])
         assert np.array_equal(p.data[1], data[1] - 1.0)
@@ -116,7 +115,7 @@ class TestOptimizers:
 
         ref, m, v = init.copy(), np.zeros((4, 3)), np.zeros((4, 3))
         for t, g in enumerate(grads, start=1):
-            opt.step({"p": g})
+            opt.step({"p": g}, {})
             m = 0.9 * m + (1 - 0.9) * g
             v = 0.999 * v + (1 - 0.999) * g**2
             ref -= 0.1 * ((m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8))
@@ -129,7 +128,7 @@ class TestOptimizers:
         opt = Adam({"p": p}, lr=0.1)
         for rows in ([0, 2], [2, 4], [0]):
             g = rng.normal(size=(5, 3))
-            opt.step({"p": ad.RowGrad(np.array(rows), g[rows])})
+            opt.step({"p": g[rows]}, {"p": np.array(rows)})
         assert np.array_equal(p.data[1], init[1])
         assert np.array_equal(p.data[3], init[3])
         assert not np.array_equal(p.data[0], init[0])
