@@ -47,7 +47,6 @@ from .baselines import (
 )
 from .datasets import (
     LabeledCorpus,
-    VocabTable,
     clustered_embeddings,
     load_embeddings,
     marker_corpus,

@@ -5,7 +5,8 @@ Subcommands:
 * ``fit-codes``  — train codes + composer from a config file; writes the code
   table (text), the codebook (binary) and per-epoch metrics (JSON lines).
   Outputs are bit-reproducible for a fixed config.
-* ``eval``       — score saved artifacts against an embedding file.
+* ``eval``       — score saved artifacts against an embedding file that lists
+  the code table's symbols in order.
 * ``baseline``   — run a comparison method on an embedding file.
 * ``sweep``      — repeat fit-codes along one config axis.
 * ``probe-codes`` — print symbols grouped by their learned code.
@@ -29,7 +30,7 @@ from .baselines import (
     pretrained_codes,
     random_codes,
 )
-from .codes import CodeConfig, load_code_table, save_code_table
+from .codes import CodeConfig, CodeTable, load_code_table, save_code_table
 from .composer import compose_digits, load_codebook, save_codebook
 from .configfile import describe_defaults, parse_config
 from .datasets import load_embeddings
@@ -72,15 +73,25 @@ def _emit(reports, out: str) -> int:
     return 0
 
 
+def _load_table_embeddings(path, table: CodeTable) -> np.ndarray:
+    """The embedding matrix of ``path``, whose rows must list the code table's
+    symbols in its order; a row that does not raises a ValueError naming it."""
+    symbols, matrix = load_embeddings(path)
+    if len(symbols) != table.vocab_size:
+        raise ValueError(f"{path}: {len(symbols)} rows, but the code table has "
+                         f"{table.vocab_size} symbols")
+    for row, (token, symbol) in enumerate(zip(symbols, table.symbols), start=1):
+        if token != symbol:
+            raise ValueError(f"{path}: row {row} is {token!r}, but the code table's "
+                             f"symbol {row} is {symbol!r}")
+    return matrix
+
+
 def cmd_eval(args) -> int:
     start = time.perf_counter()
     table = load_code_table(args.codes)
     book = load_codebook(args.codebook)
-    vocab, targets = load_embeddings(args.embeddings)
-    if table.vocab_size != len(vocab):
-        raise ValueError(
-            f"code table covers {table.vocab_size} symbols, embeddings {len(vocab)}"
-        )
+    targets = _load_table_embeddings(args.embeddings, table)
     task = ReconstructionTask(targets)
 
     def embed_rows(ids):
@@ -89,7 +100,7 @@ def cmd_eval(args) -> int:
     scores = task.evaluate(embed_rows)
     overlap = None
     if args.k > 0:
-        overlap = nn_overlap(targets, embed_rows(np.arange(len(vocab))), args.k)
+        overlap = nn_overlap(targets, embed_rows(np.arange(table.vocab_size)), args.k)
     report = build_report(
         method=f"kd({book.kind.value})",
         config={**kd_config(table, book, targets.shape[1]), "composer": book.kind.value},
@@ -103,9 +114,9 @@ def cmd_eval(args) -> int:
 
 def cmd_baseline(args) -> int:
     start = time.perf_counter()
-    vocab, targets = load_embeddings(args.embeddings)
+    symbols, targets = load_embeddings(args.embeddings)
     if args.method in ("random", "pretrained"):
-        return _cmd_code_baseline(args, vocab, targets, start)
+        return _cmd_code_baseline(args, symbols, targets, start)
     if args.method == "full":
         qr = evaluate_full(targets)
     elif args.method == "lowrank":
@@ -125,19 +136,19 @@ def cmd_baseline(args) -> int:
     return _emit([report], args.out)
 
 
-def _cmd_code_baseline(args, vocab, targets, start) -> int:
+def _cmd_code_baseline(args, symbols, targets, start) -> int:
     """Frozen-random-code and two-stage pretrained-code baselines."""
     n, d = targets.shape
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     if args.method == "random":
-        table = random_codes(n, args.alphabet, args.length, args.seed, symbols=vocab.symbols)
+        table = random_codes(n, args.alphabet, args.length, args.seed, symbols=symbols)
         task = ReconstructionTask(targets)
         code_cfg = CodeConfig(n, args.alphabet, args.length, d, allow_lossy=True)
-        result = fit(task, code_cfg, "linear-sum", cfg, frozen_table=table, symbols=vocab.symbols)
+        result = fit(task, code_cfg, "linear-sum", cfg, frozen_table=table, symbols=symbols)
         tag = "random-codes"
     else:
         table, result = pretrained_codes(
-            targets, args.alphabet, args.length, "linear-sum", cfg=cfg, symbols=vocab.symbols
+            targets, args.alphabet, args.length, "linear-sum", cfg=cfg, symbols=symbols
         )
         tag = "pretrained-codes"
     scores = result.evaluate()
@@ -181,9 +192,7 @@ def cmd_probe_codes(args) -> int:
             print(f"... ({len(groups) - shown} more groups)")
             break
     if args.embeddings:
-        vocab, matrix = load_embeddings(args.embeddings)
-        if len(vocab) != table.vocab_size:
-            raise ValueError("embedding file does not match the code table")
+        matrix = _load_table_embeddings(args.embeddings, table)
         probe = code_semantics_probe(table, matrix, np.random.default_rng(args.seed))
         if probe.available:
             print(

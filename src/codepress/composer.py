@@ -8,11 +8,11 @@ Three families:
   tied to the digit-vector width, hidden states are summed then projected.
 
 A ``CodeBook`` owns one (code_length, alphabet, width) digit-vector tensor,
-whose block j holds code position j's digit vectors, plus whatever extra
-parameters the chosen family needs.  Flattened to (code_length * alphabet,
-width) it is the paper's ``C``: a batch of selection rows reshaped to
-(batch, code_length * alphabet) is ``B``, and the linear-sum composition is
-the single product ``B @ C``.
+whose block j holds code position j's digit vectors, plus its named extras:
+the output projection, if any, and whatever the chosen family needs.
+Flattened to (code_length * alphabet, width) the tensor is the paper's
+``C``: a batch of selection rows reshaped to (batch, code_length * alphabet)
+is ``B``, and the linear-sum composition is the single product ``B @ C``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class CodeBook:
 
     kind: ComposerKind
     table: Tensor  # (code_length, alphabet, digit_dim); block j is position j
-    projection: Tensor | None = None  # (embed_dim, digit_dim), applied as s @ P.T
     extras: dict[str, Tensor] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -96,6 +95,12 @@ class CodeBook:
         return views
 
     @property
+    def projection(self) -> Tensor | None:
+        """The sum families' (embed_dim, digit_dim) output projection, applied
+        as ``s @ P.T``; None when they output the digit-vector sum itself."""
+        return self.extras.get("projection")
+
+    @property
     def embed_dim(self) -> int:
         if self.kind is ComposerKind.HIDDEN:
             return self.extras["w_out"].data.shape[1]
@@ -104,19 +109,12 @@ class CodeBook:
         return self.digit_dim
 
     def parameters(self) -> dict[str, Tensor]:
-        """Every trainable tensor, keyed for optimizers and export order."""
-        params = {"table": self.table}
-        if self.projection is not None:
-            params["projection"] = self.projection
-        params.update(self.extras)
-        return params
+        """Every trainable tensor, keyed for optimizers."""
+        return {"table": self.table, **self.extras}
 
     def extra_param_count(self) -> int:
-        """Parameters beyond the digit-vector tensor (projection + family extras)."""
-        n = sum(t.data.size for t in self.extras.values())
-        if self.projection is not None:
-            n += self.projection.data.size
-        return n
+        """Parameters beyond the digit-vector tensor."""
+        return sum(t.data.size for t in self.extras.values())
 
 
 def _uniform(rng: np.random.Generator, shape, scale: float, name: str) -> Tensor:
@@ -148,14 +146,15 @@ def init_codebook(
 
     The projection matrix is only materialized when embed_dim differs from
     digit_dim (identity otherwise); the hidden family always projects through
-    its own output layer.
+    its own output layer.  The projection is drawn last but listed first.
     """
     kind = ComposerKind(kind)
     scale = 1.0 / np.sqrt(digit_dim)
     table = _uniform(rng, (code_length, alphabet_size, digit_dim), scale, "table")
-    projection = None
     extras: dict[str, Tensor] = {}
     if kind is ComposerKind.HIDDEN:
+        if hidden_width < 1:  # every row would compose to b_out
+            raise ValueError(f"linear-hidden needs hidden_width >= 1, got {hidden_width}")
         h = hidden_width
         extras["w_hidden"] = _uniform(rng, (digit_dim, h), scale, "w_hidden")
         extras["b_hidden"] = _zeros((h,), "b_hidden")
@@ -167,8 +166,9 @@ def init_codebook(
                 extras[f"u_{g}"] = _uniform(rng, (digit_dim, digit_dim), scale, f"u_{g}")
                 extras[f"b_{g}"] = _zeros((digit_dim,), f"b_{g}")
         if embed_dim != digit_dim:
-            projection = _uniform(rng, (embed_dim, digit_dim), scale, "projection")
-    return CodeBook(kind=kind, table=table, projection=projection, extras=extras)
+            extras = {"projection": _uniform(rng, (embed_dim, digit_dim), scale, "projection"),
+                      **extras}
+    return CodeBook(kind=kind, table=table, extras=extras)
 
 
 def _check_selection(sel: Tensor, book: CodeBook) -> None:
@@ -357,19 +357,10 @@ def factorization_equivalence_check(table: CodeTable, book: CodeBook) -> float:
     return float(np.max(np.abs(composed - b @ c))) if composed.size else 0.0
 
 
-def _extra_order(kind: ComposerKind, tied: bool) -> list[str]:
-    if kind is ComposerKind.HIDDEN:
-        return ["w_hidden", "b_hidden", "w_out", "b_out"]
-    if kind is ComposerKind.LSTM:
-        gates = dict.fromkeys(_lstm_gates(tied))
-        return [f"u_{g}" for g in gates] + [f"b_{g}" for g in gates]
-    return []
-
-
 def save_codebook(book: CodeBook, path) -> None:
     """Binary export: header (K, D, d', d, kind, hidden width, flags), then
-    row-major float32 payloads — the (D, K, d') digit-vector tensor, projection
-    if any, family extras in the order given by the format doc."""
+    row-major float32 payloads — the (D, K, d') digit-vector tensor, then the
+    extras in ``_extra_shapes`` order."""
     flags = (1 if book.projection is not None else 0) | (2 if book.tie_output_gate else 0)
     header = _HEADER.pack(
         _MAGIC,
@@ -384,25 +375,25 @@ def save_codebook(book: CodeBook, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        payload = [book.table] + ([book.projection] if book.projection is not None else [])
-        payload += [book.extras[name] for name in _extra_order(book.kind, book.tie_output_gate)]
-        for t in payload:
+        shapes = _extra_shapes(book.kind, book.projection is not None, book.tie_output_gate,
+                               book.digit_dim, book.hidden_width, book.embed_dim)
+        for t in [book.table, *(book.extras[name] for name in shapes)]:
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def _extra_shapes(kind: ComposerKind, tied: bool, dprime: int, hidden: int, out_dim: int):
-    """Shape of each family extra, in file order."""
+def _extra_shapes(kind: ComposerKind, projected: bool, tied: bool, dprime: int, hidden: int,
+                  out_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each extra, in file order: the projection if any, then the
+    family's own parameters (the lstm's gate matrices before its biases)."""
+    shapes = {"projection": (out_dim, dprime)} if projected else {}
     if kind is ComposerKind.HIDDEN:
-        return {
-            "w_hidden": (dprime, hidden),
-            "b_hidden": (hidden,),
-            "w_out": (hidden, out_dim),
-            "b_out": (out_dim,),
-        }
-    return {
-        name: (dprime, dprime) if name.startswith("u_") else (dprime,)
-        for name in _extra_order(kind, tied)
-    }
+        shapes.update(w_hidden=(dprime, hidden), b_hidden=(hidden,), w_out=(hidden, out_dim),
+                      b_out=(out_dim,))
+    elif kind is ComposerKind.LSTM:
+        gates = dict.fromkeys(_lstm_gates(tied))
+        shapes.update({f"u_{g}": (dprime, dprime) for g in gates})
+        shapes.update({f"b_{g}": (dprime,) for g in gates})
+    return shapes
 
 
 def load_codebook(path) -> CodeBook:
@@ -418,12 +409,22 @@ def load_codebook(path) -> CodeBook:
         raise ValueError(f"{path}: unsupported format version {version}")
     if kind_code not in _WIRE_KIND:
         raise ValueError(f"{path}: unknown composer code {kind_code}")
-    if min(k, d, dprime) < 1:
-        raise ValueError(f"{path}: empty code shape K={k} D={d} d'={dprime}")
+    if min(k, d, dprime, out_dim) < 1:
+        raise ValueError(f"{path}: empty code shape K={k} D={d} d'={dprime} d={out_dim}")
     kind = _WIRE_KIND[kind_code]
-    has_proj, tied = bool(flags & 1), bool(flags & 2)
-    shapes = {"table": (d, k, dprime)} | ({"projection": (out_dim, dprime)} if has_proj else {})
-    shapes.update(_extra_shapes(kind, tied, dprime, hidden, out_dim))
+    has_proj, tied, own_head = bool(flags & 1), bool(flags & 2), kind is ComposerKind.HIDDEN
+    if flags & ~3:
+        raise ValueError(f"{path}: unknown flag bits {flags & ~3:#x}")
+    if tied and kind is not ComposerKind.LSTM:
+        raise ValueError(f"{path}: tied output gate on a {kind.value} composer")
+    if own_head != (hidden > 0):
+        raise ValueError(f"{path}: hidden width {hidden} on a {kind.value} composer")
+    if own_head and has_proj:
+        raise ValueError(f"{path}: projection on linear-hidden, which has its own output layer")
+    if not (own_head or has_proj) and out_dim != dprime:
+        raise ValueError(f"{path}: unprojected embedding width {out_dim} != digit width {dprime}")
+    shapes = {"table": (d, k, dprime)}
+    shapes.update(_extra_shapes(kind, has_proj, tied, dprime, hidden, out_dim))
     expected = 4 * sum(math.prod(s) for s in shapes.values())
     payload = len(raw) - _HEADER.size
     if payload < expected:
@@ -438,9 +439,4 @@ def load_codebook(path) -> CodeBook:
         size = math.prod(shape)
         params[name] = Tensor(values[offset : offset + size].reshape(shape), op="leaf", name=name)
         offset += size
-    return CodeBook(
-        kind=kind,
-        table=params.pop("table"),
-        projection=params.pop("projection", None),
-        extras=params,
-    )
+    return CodeBook(kind=kind, table=params.pop("table"), extras=params)

@@ -4,13 +4,20 @@ One setting per line, ``key = value``; blank lines and ``#`` comments are
 ignored.  Unknown keys are rejected.  Every key has a default, so an empty
 file is a valid configuration.  ``describe_defaults()`` renders the full
 documented key table (also shown by ``codepress fit-codes --help-config``).
+
+A key that sets a dataclass field names its ``(class, field)``, and each
+builder makes its class from the keys that name it.  The training, schedule
+and guidance keys take their field's own default; the data and code-shape
+keys keep their own (``allow_lossy`` is on in a config, off in ``CodeConfig``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 from .codes import CodeConfig
+from .composer import DEFAULT_HIDDEN_WIDTH
 from .guidance import GuidanceConfig
 from .training import TempSchedule, TrainConfig
 
@@ -19,52 +26,71 @@ from .training import TempSchedule, TrainConfig
 class _Key:
     default: object
     help: str
+    sets: tuple[type, str] | None = None  # the (class, field) the key sets
+
+
+def _field(cls: type, name: str, help: str) -> _Key:
+    """A key that sets ``cls.name`` and takes that field's own default."""
+    return _Key(next(f.default for f in fields(cls) if f.name == name), help, (cls, name))
+
+
+_train = partial(_field, TrainConfig)
+_schedule = partial(_field, TempSchedule)
+_guidance = partial(_field, GuidanceConfig)
 
 
 DEFAULTS: dict[str, _Key] = {
     # data
     "embeddings_path": _Key("", "text embedding file to load as targets; empty -> synthetic"),
-    "vocab_size": _Key(1000, "symbol count for synthetic targets"),
+    "vocab_size": _Key(1000, "symbol count for synthetic targets", (CodeConfig, "vocab_size")),
     "embed_dim": _Key(32, "embedding width d of the targets"),
     "synthetic_clusters": _Key(20, "cluster count for synthetic targets"),
     "synthetic_spread": _Key(0.1, "within-cluster noise scale for synthetic targets"),
     "data_seed": _Key(0, "seed for synthetic target generation"),
     "val_fraction": _Key(0.0, "fraction of symbols held out of training (0 = validate on all rows)"),
     # code shape
-    "alphabet_size": _Key(16, "K: digit alphabet size"),
-    "code_length": _Key(4, "D: digits per code"),
-    "digit_dim": _Key(16, "d': width of each digit vector"),
-    "allow_lossy": _Key(True, "permit K^D < vocab (colliding codes)"),
+    "alphabet_size": _Key(16, "K: digit alphabet size", (CodeConfig, "alphabet_size")),
+    "code_length": _Key(4, "D: digits per code", (CodeConfig, "code_length")),
+    "digit_dim": _Key(16, "d': width of each digit vector", (CodeConfig, "code_embed_dim")),
+    "allow_lossy": _Key(True, "permit K^D < vocab (colliding codes)", (CodeConfig, "allow_lossy")),
     # composer
     "composer": _Key("linear-sum", "linear-sum | linear-hidden | lstm"),
-    "hidden_width": _Key(300, "hidden units for the linear-hidden composer"),
+    "hidden_width": _Key(DEFAULT_HIDDEN_WIDTH, "hidden units for the linear-hidden composer"),
     "tie_output_gate": _Key(False, "lstm only: reuse the t-gate weights for the o-gate"),
     # optimization
-    "epochs": _Key(50, "passes over the training split"),
-    "batch_size": _Key(128, "minibatch size"),
-    "learning_rate": _Key(0.001, "step size"),
-    "optimizer": _Key("adam", "adam | sgd"),
-    "grad_clip": _Key(5.0, "global gradient-norm cap (0 disables)"),
-    "seed": _Key(0, "training seed (init, shuffling, masks)"),
-    "use_straight_through": _Key(True, "discretize forward passes during training"),
+    "epochs": _train("epochs", "passes over the training split"),
+    "batch_size": _train("batch_size", "minibatch size"),
+    "learning_rate": _train("learning_rate", "step size"),
+    "optimizer": _train("optimizer", "adam | sgd"),
+    "grad_clip": _train("grad_clip", "global gradient-norm cap (0 disables)"),
+    "seed": _train("seed", "training seed (init, shuffling, masks)"),
+    "use_straight_through": _train(
+        "use_straight_through", "discretize forward passes during training"
+    ),
     # temperature schedule
-    "schedule_kind": _Key("exponential", "constant | exponential"),
-    "tau_init": _Key(1.0, "starting softmax temperature"),
-    "tau_min": _Key(0.1, "final softmax temperature"),
-    "tau_horizon": _Key(0, "step reaching tau_min; 0 -> half the total steps"),
+    "schedule_kind": _schedule("kind", "constant | exponential"),
+    "tau_init": _schedule("tau_init", "starting softmax temperature"),
+    "tau_min": _schedule("tau_min", "final softmax temperature"),
+    "tau_horizon": _schedule("horizon", "step reaching tau_min; 0 -> half the total steps"),
     # entropy regularization
-    "entropy_weight": _Key(0.01, "weight on the relaxed-code entropy penalty"),
-    "entropy_ramp_fraction": _Key(0.1, "fraction of steps to ramp the entropy weight in"),
+    "entropy_weight": _train("entropy_weight", "weight on the relaxed-code entropy penalty"),
+    "entropy_ramp_fraction": _train(
+        "entropy_ramp_fraction", "fraction of steps to ramp the entropy weight in"
+    ),
     # guidance
-    "guidance_mode": _Key("none", "none | odg | pdg"),
-    "keep_prob": _Key(0.7, "odg: Bernoulli keep probability for the mixing mask"),
-    "match_weight": _Key(1.0, "odg: weight of the match penalty (ramped in)"),
-    "embed_weight": _Key(1.0, "pdg: weight on composed-vs-pretrained rows"),
-    "logit_weight": _Key(1.0, "pdg: weight on code-logits-vs-encoder agreement"),
-    "autoencoder": _Key(True, "pdg: include the autoencoder term"),
-    "guidance_ramp_fraction": _Key(0.2, "odg: fraction of steps to ramp match_weight in"),
-    "mask_per_symbol": _Key(False, "odg: one mask scalar per symbol instead of per coordinate"),
-    "encoder_hidden": _Key(256, "pdg: encoder hidden width"),
+    "guidance_mode": _guidance("mode", "none | odg | pdg"),
+    "keep_prob": _guidance("keep_prob", "odg: Bernoulli keep probability for the mixing mask"),
+    "match_weight": _guidance("match_weight", "odg: weight of the match penalty (ramped in)"),
+    "embed_weight": _guidance("embed_weight", "pdg: weight on composed-vs-pretrained rows"),
+    "logit_weight": _guidance("logit_weight", "pdg: weight on code-logits-vs-encoder agreement"),
+    "autoencoder": _guidance("autoencoder", "pdg: include the autoencoder term"),
+    "guidance_ramp_fraction": _guidance(
+        "ramp_fraction", "odg: fraction of steps to ramp match_weight in"
+    ),
+    "mask_per_symbol": _guidance(
+        "mask_per_symbol", "odg: one mask scalar per symbol instead of per coordinate"
+    ),
+    "encoder_hidden": _guidance("encoder_hidden", "pdg: encoder hidden width"),
 }
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -116,47 +142,21 @@ def describe_defaults() -> str:
     return "\n".join(lines)
 
 
+def _build(cls: type, settings: dict, **nested):
+    """``cls`` from the keys that set its fields, plus its ``nested`` configs."""
+    values = {spec.sets[1]: settings[key] for key, spec in DEFAULTS.items()
+              if spec.sets is not None and spec.sets[0] is cls}
+    return cls(**values, **nested)
+
+
 def build_code_config(settings: dict) -> CodeConfig:
-    return CodeConfig(
-        vocab_size=settings["vocab_size"],
-        alphabet_size=settings["alphabet_size"],
-        code_length=settings["code_length"],
-        code_embed_dim=settings["digit_dim"],
-        allow_lossy=settings["allow_lossy"],
-    )
+    return _build(CodeConfig, settings)
 
 
 def build_guidance_config(settings: dict) -> GuidanceConfig:
-    return GuidanceConfig(
-        mode=settings["guidance_mode"],
-        keep_prob=settings["keep_prob"],
-        match_weight=settings["match_weight"],
-        embed_weight=settings["embed_weight"],
-        logit_weight=settings["logit_weight"],
-        autoencoder=settings["autoencoder"],
-        ramp_fraction=settings["guidance_ramp_fraction"],
-        mask_per_symbol=settings["mask_per_symbol"],
-        encoder_hidden=settings["encoder_hidden"],
-    )
+    return _build(GuidanceConfig, settings)
 
 
 def build_train_config(settings: dict) -> TrainConfig:
-    schedule = TempSchedule(
-        kind=settings["schedule_kind"],
-        tau_init=settings["tau_init"],
-        tau_min=settings["tau_min"],
-        horizon=settings["tau_horizon"],
-    )
-    return TrainConfig(
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["learning_rate"],
-        optimizer=settings["optimizer"],
-        schedule=schedule,
-        entropy_weight=settings["entropy_weight"],
-        entropy_ramp_fraction=settings["entropy_ramp_fraction"],
-        guidance=build_guidance_config(settings),
-        use_straight_through=settings["use_straight_through"],
-        grad_clip=settings["grad_clip"],
-        seed=settings["seed"],
-    )
+    return _build(TrainConfig, settings, schedule=_build(TempSchedule, settings),
+                  guidance=build_guidance_config(settings))

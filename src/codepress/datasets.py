@@ -10,42 +10,19 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class VocabTable:
-    """Ordered unique symbols with a reverse index."""
-
-    symbols: list[str]
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.symbols)}
-        if len(self._index) != len(self.symbols):
-            seen: set[str] = set()
-            dup = next(s for s in self.symbols if s in seen or seen.add(s))
-            raise ValueError(f"duplicate vocabulary symbol {dup!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def index(self, symbol: str) -> int:
-        return self._index[symbol]
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._index
-
-
-def make_vocab(n: int, prefix: str = "tok") -> VocabTable:
+def make_vocab(n: int, prefix: str = "tok") -> list[str]:
     width = max(1, len(str(max(n - 1, 0))))
-    return VocabTable([f"{prefix}{i:0{width}d}" for i in range(n)])
+    return [f"{prefix}{i:0{width}d}" for i in range(n)]
 
 
-def load_embeddings(path) -> tuple[VocabTable, np.ndarray]:
-    """Read a text embedding file: one `token v1 v2 ... vd` line per symbol.
+def load_embeddings(path) -> tuple[list[str], np.ndarray]:
+    """Read a text embedding file: one `token v1 v2 ... vd` line per symbol,
+    as (tokens in file order, (n, d) matrix).
 
     Rejects non-UTF-8 bytes, ragged rows, non-numeric or non-finite values and
     duplicate tokens with a ValueError that names the file and the offending
@@ -89,16 +66,16 @@ def load_embeddings(path) -> tuple[VocabTable, np.ndarray]:
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty embedding file")
-    return VocabTable(list(line_of)), np.array(rows, dtype=np.float64)
+    return list(line_of), np.array(rows, dtype=np.float64)
 
 
-def save_embeddings(path, vocab: VocabTable, matrix: np.ndarray) -> None:
+def save_embeddings(path, symbols: list[str], matrix: np.ndarray) -> None:
     """Inverse of load_embeddings; values written with shortest round-trip repr."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != len(vocab):
-        raise ValueError(f"matrix shape {matrix.shape} does not match vocabulary size {len(vocab)}")
+    if matrix.ndim != 2 or matrix.shape[0] != len(symbols):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {len(symbols)} symbols")
     with open(path, "w", encoding="utf-8") as fh:
-        for sym, row in zip(vocab.symbols, matrix):
+        for sym, row in zip(symbols, matrix):
             fh.write(sym + " " + " ".join(repr(float(v)) for v in row) + "\n")
 
 

@@ -35,8 +35,7 @@ def derived_seed(base_seed: int, index: int) -> int:
 def load_targets(settings: dict) -> tuple[list[str], np.ndarray]:
     """(symbols, target matrix) from the config's data section."""
     if settings["embeddings_path"]:
-        vocab, matrix = load_embeddings(settings["embeddings_path"])
-        return vocab.symbols, matrix
+        return load_embeddings(settings["embeddings_path"])
     rng = np.random.default_rng(settings["data_seed"])
     matrix, _ = clustered_embeddings(
         settings["vocab_size"],
@@ -45,7 +44,7 @@ def load_targets(settings: dict) -> tuple[list[str], np.ndarray]:
         rng,
         spread=settings["synthetic_spread"],
     )
-    return make_vocab(settings["vocab_size"]).symbols, matrix
+    return make_vocab(settings["vocab_size"]), matrix
 
 
 def run_one(settings: dict, **overrides) -> tuple[RunReport, FitResult]:

@@ -270,6 +270,11 @@ class TestInitAndShapes:
         assert book.extras["w_out"].data.shape == (6, 7)
         assert book.embed_dim == 7
 
+    def test_hidden_family_needs_hidden_units(self):
+        with pytest.raises(ValueError, match="hidden_width >= 1"):
+            init_codebook(3, 2, 4, 7, ComposerKind.HIDDEN, np.random.default_rng(0),
+                          hidden_width=0)
+
     def test_param_counts(self):
         rng = np.random.default_rng(18)
         linear = init_codebook(4, 3, 5, 5, ComposerKind.LINEAR, rng)

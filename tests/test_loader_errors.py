@@ -105,6 +105,36 @@ class TestCodebookErrors:
             load_codebook(path)
 
 
+def packed_codebook(tmp_path, kind_code, dprime, out_dim, hidden, flags, n_values):
+    """A K=2, D=1 codebook.bin with the given header fields over ``n_values``
+    zeros, so that only the header can be at fault."""
+    header = struct.pack("<4sIIIIIIII", b"KDCB", 1, 2, 1, dprime, out_dim, kind_code, hidden, flags)
+    return write(tmp_path, "codebook.bin", header + bytes(4 * n_values))
+
+
+# (composer code, d', d, hidden width, flags, payload values, error); composer
+# codes are 1 linear-sum, 2 linear-hidden, 3 lstm; the (1, 2, d') table holds 2 d'
+# values.  Each payload has the size the header implies, so only the header's
+# contradiction can be rejected.
+CONTRADICTORY_HEADERS = {
+    "embed-width-without-projection": (1, 3, 4, 0, 0, 6, "unprojected embedding width 4"),
+    "zero-embed-width": (1, 3, 0, 0, 0, 6, "empty code shape"),
+    "unknown-flag-bits": (1, 3, 3, 0, 4, 6, "unknown flag bits 0x4"),
+    "tied-gate-on-linear-sum": (1, 3, 3, 0, 2, 6, "tied output gate on a linear-sum"),
+    "hidden-width-on-lstm": (3, 3, 3, 5, 0, 6 + 4 * (9 + 3), "hidden width 5 on a lstm"),
+    "zero-hidden-width": (2, 3, 3, 0, 0, 6 + 3, "hidden width 0 on a linear-hidden"),
+    "projection-on-linear-hidden": (2, 3, 3, 2, 1, 6 + 9 + 6 + 2 + 6 + 3, "projection on linear"),
+}
+
+
+@pytest.mark.parametrize("case", CONTRADICTORY_HEADERS)
+def test_codebook_header_contradicting_its_layout(tmp_path, case):
+    *fields, error = CONTRADICTORY_HEADERS[case]
+    path = packed_codebook(tmp_path, *fields)
+    with pytest.raises(ValueError, match=names(path) + ".*" + re.escape(error)):
+        load_codebook(path)
+
+
 class TestEmbeddingFileErrors:
     def test_non_finite_value_names_line(self, tmp_path):
         for bad in ("nan", "inf", "-Infinity", "1e999"):

@@ -1,10 +1,14 @@
 """Config files, sweep/ablation drivers, and the command-line entry points."""
 
+import hashlib
+from dataclasses import fields
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
 from codepress.cli import main
-from codepress.codes import load_code_table
+from codepress.codes import CodeConfig, load_code_table
 from codepress.composer import DEFAULT_HIDDEN_WIDTH, load_codebook
 from codepress.configfile import (
     DEFAULTS,
@@ -32,6 +36,45 @@ from codepress.training import TempSchedule, TrainConfig
 def config(**values) -> dict:
     """Parsed-config dict: the documented defaults with ``values`` set."""
     return {**{k: spec.default for k, spec in DEFAULTS.items()}, **values}
+
+
+# sha256 of describe_defaults(): the key table --help-config prints
+DEFAULTS_TABLE_SHA256 = "dad86d183f17027cc807f9b697026f92804976b870ccc60a53fd78197260733e"
+
+# config key -> (the config it builds: "code" or "train", attribute, a non-default value)
+DATACLASS_KEYS = {
+    "vocab_size": ("code", "vocab_size", 30),
+    "alphabet_size": ("code", "alphabet_size", 5),
+    "code_length": ("code", "code_length", 3),
+    "digit_dim": ("code", "code_embed_dim", 6),
+    "allow_lossy": ("code", "allow_lossy", False),
+    "epochs": ("train", "epochs", 7),
+    "batch_size": ("train", "batch_size", 9),
+    "learning_rate": ("train", "learning_rate", 0.05),
+    "optimizer": ("train", "optimizer", "sgd"),
+    "grad_clip": ("train", "grad_clip", 2.5),
+    "seed": ("train", "seed", 11),
+    "use_straight_through": ("train", "use_straight_through", False),
+    "entropy_weight": ("train", "entropy_weight", 0.3),
+    "entropy_ramp_fraction": ("train", "entropy_ramp_fraction", 0.4),
+    "schedule_kind": ("train", "schedule.kind", "constant"),
+    "tau_init": ("train", "schedule.tau_init", 0.9),
+    "tau_min": ("train", "schedule.tau_min", 0.3),
+    "tau_horizon": ("train", "schedule.horizon", 17),
+    "guidance_mode": ("train", "guidance.mode", "odg"),
+    "keep_prob": ("train", "guidance.keep_prob", 0.6),
+    "match_weight": ("train", "guidance.match_weight", 0.5),
+    "embed_weight": ("train", "guidance.embed_weight", 2.0),
+    "logit_weight": ("train", "guidance.logit_weight", 3.0),
+    "autoencoder": ("train", "guidance.autoencoder", False),
+    "guidance_ramp_fraction": ("train", "guidance.ramp_fraction", 0.5),
+    "mask_per_symbol": ("train", "guidance.mask_per_symbol", True),
+    "encoder_hidden": ("train", "guidance.encoder_hidden", 12),
+}
+
+
+def built_configs(settings: dict) -> dict:
+    return {"code": build_code_config(settings), "train": build_train_config(settings)}
 
 
 class TestConfigFile:
@@ -95,6 +138,25 @@ class TestConfigFile:
         assert train.schedule.kind == "constant"
         guide = build_guidance_config(settings)
         assert guide.mode == "odg" and guide.keep_prob == 0.6
+
+    def test_describe_defaults_is_unchanged(self):
+        digest = hashlib.sha256(describe_defaults().encode()).hexdigest()
+        assert digest == DEFAULTS_TABLE_SHA256
+
+    def test_every_dataclass_key_sets_its_field(self):
+        settings = config(**{key: value for key, (_, _, value) in DATACLASS_KEYS.items()})
+        built, defaults = built_configs(settings), built_configs(config())
+        for key, (which, attr, value) in DATACLASS_KEYS.items():
+            assert attrgetter(attr)(defaults[which]) != value, key
+            assert attrgetter(attr)(built[which]) == value, key
+        assert build_guidance_config(settings) == built["train"].guidance
+        # every field of the four config classes is set by one key
+        reached = {attr for which, attr, _ in DATACLASS_KEYS.values() if which == "train"}
+        for prefix, cls in (("", TrainConfig), ("schedule.", TempSchedule),
+                            ("guidance.", GuidanceConfig)):
+            assert {prefix + f.name for f in fields(cls)} - {"schedule", "guidance"} <= reached
+        assert {f.name for f in fields(CodeConfig)} == {
+            attr for which, attr, _ in DATACLASS_KEYS.values() if which == "code"}
 
     def test_defaults_build_the_library_defaults(self):
         # a config that sets nothing trains exactly as the library defaults do
@@ -245,11 +307,9 @@ class TestCli:
         out = workdir / "run"
         main(["fit-codes", str(workdir / "run.cfg"), "--out-dir", str(out)])
         # synthetic targets regenerate deterministically from the config
-        from codepress.datasets import VocabTable
-
         symbols, targets = load_targets(parse_config(workdir / "run.cfg"))
         emb = workdir / "emb.txt"
-        save_embeddings(emb, VocabTable(symbols), targets)
+        save_embeddings(emb, symbols, targets)
         capsys.readouterr()
         report_path = workdir / "report.jsonl"
         code = main([
@@ -264,6 +324,37 @@ class TestCli:
         [report] = load_reports(report_path)
         assert report.nn_overlap is not None
         assert report.config["family"] == "kd"
+
+    def fitted_with_embeddings(self, workdir, symbols_of):
+        """fit-codes on the workdir config, and its targets saved under the
+        symbols ``symbols_of(code table symbols)``."""
+        out = workdir / "run"
+        main(["fit-codes", str(workdir / "run.cfg"), "--out-dir", str(out)])
+        symbols, targets = load_targets(parse_config(workdir / "run.cfg"))
+        emb = workdir / "emb.txt"
+        save_embeddings(emb, symbols_of(symbols), targets)
+        return out, emb
+
+    def test_eval_rejects_embeddings_in_another_order(self, workdir, capsys):
+        # the same rows with the first two swapped: counts agree, rows do not
+        def swapped(symbols):
+            return [symbols[1], symbols[0], *symbols[2:]]
+
+        out, emb = self.fitted_with_embeddings(workdir, swapped)
+        capsys.readouterr()
+        code = main(["eval", "--codes", str(out / "codes.txt"),
+                     "--codebook", str(out / "codebook.bin"), "--embeddings", str(emb)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {emb}: row 1 is 'tok01'")
+
+    def test_probe_codes_rejects_embeddings_of_other_tokens(self, workdir, capsys):
+        # as many rows as the code table has symbols, under other tokens
+        out, emb = self.fitted_with_embeddings(
+            workdir, lambda symbols: make_vocab(len(symbols), "w"))
+        capsys.readouterr()
+        code = main(["probe-codes", "--codes", str(out / "codes.txt"), "--embeddings", str(emb)])
+        assert code == 1
+        assert f"error: {emb}: row 1 is 'w00'" in capsys.readouterr().err
 
     def test_baseline_subcommands(self, workdir, capsys):
         rng = np.random.default_rng(0)

@@ -6,7 +6,6 @@ import pytest
 from codepress.autodiff import Tensor
 from codepress.datasets import (
     LabeledCorpus,
-    VocabTable,
     clustered_embeddings,
     load_embeddings,
     make_vocab,
@@ -18,16 +17,9 @@ from codepress.tasks import ClassificationTask, ReconstructionTask, _averaging_m
 
 
 class TestVocab:
-    def test_make_vocab_and_lookup(self):
-        vocab = make_vocab(4)
-        assert vocab.symbols == ["tok0", "tok1", "tok2", "tok3"]
-        assert len(vocab) == 4
-        assert vocab.index("tok2") == 2
-        assert "tok3" in vocab and "tok4" not in vocab
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            VocabTable(["a", "b", "a"])
+    def test_make_vocab_pads_indices_to_one_width(self):
+        assert make_vocab(4) == ["tok0", "tok1", "tok2", "tok3"]
+        assert make_vocab(11)[:2] == ["tok00", "tok01"]
 
 
 class TestEmbeddingIO:
@@ -37,8 +29,8 @@ class TestEmbeddingIO:
         matrix = rng.normal(size=(9, 5)) * 10.0 ** rng.integers(-8, 8, (9, 5))
         path = tmp_path / "emb.txt"
         save_embeddings(path, vocab, matrix)
-        loaded_vocab, loaded = load_embeddings(path)
-        assert loaded_vocab.symbols == vocab.symbols
+        symbols, loaded = load_embeddings(path)
+        assert symbols == vocab
         assert np.array_equal(loaded, matrix)
 
     def test_ragged_row_names_the_line(self, tmp_path):
