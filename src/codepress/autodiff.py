@@ -23,10 +23,13 @@ Graph lifetime: an op's backward closure captures its parents and whatever
 forward values it needs, never its own output; ``_attach`` stores it on the
 output behind a weak reference.  So a graph holds no reference cycle, and
 reference counting frees it as soon as its root is dropped, whether or not
-backward ever ran (validation and inference graphs included), without
-waiting for the cyclic garbage collector.  The stored ``_backward`` takes no
-arguments, so code that wraps it (a profiler timing each op's backward, say)
-needs to know nothing about how the upstream gradient is read.
+backward ever ran, without waiting for the cyclic garbage collector.
+Hard-code inference builds no graph at all (``composer.compose_digits``
+works on plain arrays), and ``cross_entropy_logits`` computes its softmax
+inside its backward, so a validation loss that is never differentiated does
+not pay for it.  The stored ``_backward`` takes no arguments, so code that
+wraps it (a profiler timing each op's backward, say) needs to know nothing
+about how the upstream gradient is read.
 """
 
 from __future__ import annotations
@@ -371,10 +374,9 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     rows = np.arange(y.shape[0])
     losses = lse - z[rows, y]
     out = Tensor(losses.mean(), (logits,), op="cross_entropy_logits")
-    probs = np.exp(z - lse[:, None])
 
     def _back(g):
-        dz = probs.copy()
+        dz = np.exp(z - lse[:, None])  # the softmax, computed only when backward runs
         dz[rows, y] -= 1.0
         logits.grad += dz * (g / y.shape[0])
 

@@ -214,80 +214,106 @@ def _digit_contributions(selection: Tensor, table: Tensor) -> Tensor:
     return ad._attach(out, _back)
 
 
-def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
-    """Summed hidden states of the lstm over the D positions of (B, D, d')
-    contributions, as one op with a hand-written backward through time.
-    The contributions may also come flat, as (B * D, d') rows in batch-major
-    order; the op reads them as (B, D, d') either way.
+def _lstm_weights(book: CodeBook) -> tuple[list[Tensor], list[Tensor]]:
+    """The lstm's ``u_``/``b_`` parameters per gate block, in [t, i, o, m]
+    order; a tied output gate lists ``u_t``/``b_t`` twice."""
+    gates = _lstm_gates(book.tie_output_gate)
+    return [book.extras[f"u_{g}"] for g in gates], [book.extras[f"b_{g}"] for g in gates]
+
+
+def _lstm_forward(inputs, book: CodeBook, batch: int, cache: bool):
+    """Summed hidden states of the lstm over the D positions, where
+    ``inputs(j)`` gives position j's (batch, d') input term.
 
     Per position, with gate blocks [t, i, o, m] of ``z = e + h @ U + b``:
     ``mem = sig(z_t) * mem + sig(z_i) * tanh(z_m)`` and
     ``h = sig(z_o) * tanh(mem)``.  The gate matrices are concatenated into
     one (d', 4d') ``U``; a tied output gate reuses ``u_t``/``b_t`` as its
-    block, so that block's gradient adds into them.  The forward adds and
-    rounds in the order of the per-node graph it replaces.
+    block.  The loop adds and rounds in the order of the per-node graph it
+    replaced.  Returns ``(total, saved)``: with ``cache`` false, saved is None
+    and the loop reuses one position's buffers; otherwise saved is the
+    (D, batch, .) state that ``_lstm_backward`` reads.
     """
-    ex = book.extras
-    gates = _lstm_gates(book.tie_output_gate)
-    us = [ex[f"u_{g}"] for g in gates]
-    bs = [ex[f"b_{g}"] for g in gates]
+    us, bs = _lstm_weights(book)
     u = np.concatenate([p.data for p in us], axis=1)
     bias = np.concatenate([p.data for p in bs])
     length, width = book.code_length, book.digit_dim
-    x = contribs.data.reshape(-1, length, width).transpose(1, 0, 2)  # (D, B, d')
-    batch = x.shape[1]
-    # acts[j] starts as position j's input term and becomes its activations
-    acts = np.empty((length, batch, 4, width))
-    acts[:] = x[:, :, None, :]
-    z = acts.reshape(length, batch, 4 * width)
-    mem = np.zeros((length + 1, batch, width))  # mem[j] feeds position j
-    cell = np.empty((length, batch, width))  # tanh(mem[j + 1])
+    slots = length if cache else 1
+    # acts[s] starts as the position's input term and becomes its activations
+    acts = np.empty((slots, batch, 4, width))
+    cell = np.empty((slots, batch, width))  # tanh of the memory the position leaves
+    mem = np.zeros((length + 1 if cache else 1, batch, width))  # mem[j] feeds position j
+    m = mem[0]
     h = np.zeros((batch, width))
     total = np.zeros((batch, width))
     for j in range(length):
-        z[j] += h @ u
-        z[j] += bias  # after h @ U, as (e + h @ U) + b rounded per node
-        s = z[j, :, : 3 * width]
-        np.divide(1.0, 1.0 + np.exp(-s), out=s)
-        np.tanh(acts[j, :, 3], out=acts[j, :, 3])
-        t_gate, i_gate, o_gate, candidate = acts[j].transpose(1, 0, 2)
-        mem[j + 1] = t_gate * mem[j] + i_gate * candidate
-        np.tanh(mem[j + 1], out=cell[j])
-        h = o_gate * cell[j]
+        s = j if cache else 0
+        a = acts[s]
+        a[:] = inputs(j)[:, None, :]
+        z = a.reshape(batch, 4 * width)
+        z += h @ u
+        z += bias  # after h @ U, as (e + h @ U) + b rounded per node
+        sig = z[:, : 3 * width]
+        np.divide(1.0, 1.0 + np.exp(-sig), out=sig)
+        np.tanh(a[:, 3], out=a[:, 3])
+        t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
+        m = t_gate * m + i_gate * candidate
+        if cache:
+            mem[j + 1] = m
+        np.tanh(m, out=cell[s])
+        h = o_gate * cell[s]
         total += h
+    return total, ((acts, mem, cell, u) if cache else None)
+
+
+def _lstm_backward(upstream: np.ndarray, saved, us: list[Tensor], bs: list[Tensor]) -> np.ndarray:
+    """Backward through time from the summed hidden states' gradient: adds
+    into the gate parameters' ``.grad`` and returns the (D, batch, d')
+    gradient of the input terms.  A tied block adds into ``u_t``/``b_t``."""
+    acts, mem, cell, u = saved
+    length, batch, width = cell.shape
+    dz = np.empty_like(acts)
+    de = np.empty_like(cell)
+    dh = upstream
+    dm = np.zeros((batch, width))
+    for j in reversed(range(length)):
+        a, d = acts[j], dz[j]
+        t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
+        dm = dm + dh * o_gate * (1.0 - cell[j] * cell[j])
+        np.multiply(dm, mem[j], out=d[:, 0])
+        np.multiply(dm, candidate, out=d[:, 1])
+        np.multiply(dh, cell[j], out=d[:, 2])
+        np.multiply(dm, i_gate, out=d[:, 3])
+        # d act / d z: s (1 - s) on the sigmoid blocks, 1 - g^2 on the tanh one
+        slope = a * (1.0 - a)
+        np.subtract(1.0, candidate * candidate, out=slope[:, 3])
+        d *= slope
+        d.sum(axis=1, out=de[j])
+        dm = dm * t_gate
+        if j:
+            dh = upstream + d.reshape(batch, 4 * width) @ u.T
+    # h before each position: zero, then o * tanh(mem) of the one before
+    h_prev = np.zeros_like(cell)
+    np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
+    flat_dz = dz.reshape(-1, 4 * width)
+    du = h_prev.reshape(-1, width).T @ flat_dz
+    db = flat_dz.sum(axis=0)
+    for k, (up, bp) in enumerate(zip(us, bs)):
+        up.grad += du[:, k * width : (k + 1) * width]
+        bp.grad += db[k * width : (k + 1) * width]
+    return de
+
+
+def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
+    """The lstm over (B, D, d') contributions as one op, with a hand-written
+    backward through time."""
+    x = contribs.data
+    us, bs = _lstm_weights(book)
+    total, saved = _lstm_forward(lambda j: x[:, j], book, x.shape[0], cache=True)
     out = Tensor(total, (contribs, *us, *bs), op="lstm_recurrence")
 
     def _back(upstream):
-        dz = np.empty_like(acts)
-        de = np.empty_like(cell)
-        dh = upstream
-        dm = np.zeros((batch, width))
-        for j in reversed(range(length)):
-            a, d = acts[j], dz[j]
-            t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
-            dm = dm + dh * o_gate * (1.0 - cell[j] * cell[j])
-            np.multiply(dm, mem[j], out=d[:, 0])
-            np.multiply(dm, candidate, out=d[:, 1])
-            np.multiply(dh, cell[j], out=d[:, 2])
-            np.multiply(dm, i_gate, out=d[:, 3])
-            # d act / d z: s (1 - s) on the sigmoid blocks, 1 - g^2 on the tanh one
-            slope = a * (1.0 - a)
-            np.subtract(1.0, candidate * candidate, out=slope[:, 3])
-            d *= slope
-            d.sum(axis=1, out=de[j])
-            dm = dm * t_gate
-            if j:
-                dh = upstream + d.reshape(batch, 4 * width) @ u.T
-        # h before each position: zero, then o * tanh(mem) of the one before
-        h_prev = np.zeros_like(cell)
-        np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
-        flat_dz = dz.reshape(-1, 4 * width)
-        du = h_prev.reshape(-1, width).T @ flat_dz
-        db = flat_dz.sum(axis=0)
-        contribs.grad += de.transpose(1, 0, 2).reshape(contribs.data.shape)
-        for k, (up, bp) in enumerate(zip(us, bs)):
-            up.grad += du[:, k * width : (k + 1) * width]
-            bp.grad += db[k * width : (k + 1) * width]
+        contribs.grad += _lstm_backward(upstream, saved, us, bs).transpose(1, 0, 2)
 
     return ad._attach(out, _back)
 
@@ -308,28 +334,90 @@ def compose_relaxed(selection: Tensor, book: CodeBook) -> Tensor:
     return _head(ad.reshape(selection, (batch, d * k)) @ _flat_table(book), book)
 
 
-def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
-    """Compose embedding rows for raw digit rows (batch, code_length).
-
-    Gathers row ``j * alphabet + digit`` of ``C`` per position; the sum
-    families add the rows in position order, lstm feeds them to its
-    recurrence.  The one-hot ``B @ C`` of compose_relaxed adds the same
-    terms, but in the BLAS's order, so the two can differ by one rounding
-    per entry.
-    """
+def _digit_rows(digits, book: CodeBook) -> np.ndarray:
+    """Raw digit rows (batch, code_length), checked, as row ids of ``C``:
+    position j's digit picks row ``j * alphabet + digit``."""
     digits = np.asarray(digits, dtype=np.int64)
     if digits.ndim != 2 or digits.shape[1] != book.code_length:
         raise ValueError(f"digits must be (batch, {book.code_length}), got {digits.shape}")
     if digits.size and (digits.min() < 0 or digits.max() >= book.alphabet_size):
         raise ValueError(f"digits must lie in [0, {book.alphabet_size})")
-    flat = _flat_table(book)
-    rows = digits + book.alphabet_size * np.arange(book.code_length)
+    return digits + book.alphabet_size * np.arange(book.code_length)
+
+
+def _compose_rows(rows: np.ndarray, book: CodeBook, cache: bool):
+    """Summed digit vectors (the lstm: summed hidden states) of the ``C`` rows
+    ``rows``, before the head, as ``(total, saved lstm state or None)``.
+
+    Every parameter of the book is checked first: a non-finite one need not
+    show in the rows (an lstm's gates saturate), and no graph node checks it.
+    """
+    for name, p in book.parameters().items():
+        if not np.all(np.isfinite(p.data)):
+            raise FloatingPointError(f"non-finite values in codebook parameter '{name}'")
+    flat = book.table.data.reshape(-1, book.digit_dim)
     if book.kind is ComposerKind.LSTM:
-        return _head(_lstm_recurrence(ad.gather_rows(flat, rows.reshape(-1)), book), book)
-    total = ad.gather_rows(flat, rows[:, 0])
+        return _lstm_forward(lambda j: flat[rows[:, j]], book, rows.shape[0], cache)
+    total = flat[rows[:, 0]]
     for j in range(1, book.code_length):
-        total = total + ad.gather_rows(flat, rows[:, j])
-    return _head(total, book)
+        total += flat[rows[:, j]]
+    return total, None
+
+
+def _head_values(total: np.ndarray, book: CodeBook) -> np.ndarray:
+    """``_head`` on plain arrays, with the graph's expressions and roundings."""
+    ex = book.extras
+    if book.kind is ComposerKind.HIDDEN:
+        hidden = total @ ex["w_hidden"].data
+        hidden += ex["b_hidden"].data
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ ex["w_out"].data
+        out += ex["b_out"].data
+        return out
+    if book.projection is not None:
+        return total @ book.projection.data.T.copy()  # as the graph's transpose node copies
+    return total
+
+
+def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
+    """Compose embedding rows for raw digit rows (batch, code_length).
+
+    Gathers row ``j * alphabet + digit`` of ``C`` per position; the sum
+    families add the rows in position order, lstm feeds them to its
+    recurrence one position at a time.  This is the inference regime: the
+    work is plain numpy, no graph is built and no backward state is kept, so
+    the result is a parentless tensor.  A non-finite codebook parameter
+    raises ``FloatingPointError``.  The one-hot ``B @ C`` of compose_relaxed
+    adds the same terms, but in the BLAS's order, so the two can differ by
+    one rounding per entry.
+    """
+    total, _ = _compose_rows(_digit_rows(digits, book), book, cache=False)
+    return Tensor(_head_values(total, book), name="compose_digits")
+
+
+def _compose_frozen(digits: np.ndarray, book: CodeBook) -> Tensor:
+    """compose_digits as a differentiable op, for training on a frozen code
+    table: the same forward, with the lstm's state kept for a backward that
+    gives the gradients of the graph it replaces (a row gather of ``C`` per
+    position, their sum or the recurrence, then the head) bit for bit.
+    Each position's rows of ``C`` are its own, so one scatter-add over all
+    positions adds every row's terms in that graph's order."""
+    rows = _digit_rows(digits, book)
+    total, saved = _compose_rows(rows, book, cache=True)
+    us, bs = _lstm_weights(book) if book.kind is ComposerKind.LSTM else ([], [])
+    out = Tensor(total, (book.table, *us, *bs), op="compose_frozen")
+    width = book.digit_dim
+
+    def _back(upstream):
+        if saved is None:  # a sum passes its gradient to every term
+            de = np.broadcast_to(upstream[:, None], (*rows.shape, width))
+        else:
+            de = _lstm_backward(upstream, saved, us, bs).transpose(1, 0, 2)
+        grad = np.zeros((book.code_length * book.alphabet_size, width))
+        np.add.at(grad, rows.reshape(-1), de.reshape(-1, width))
+        book.table.grad += grad.reshape(book.table.data.shape)
+
+    return _head(ad._attach(out, _back), book)
 
 
 def build_factorization(table: CodeTable, book: CodeBook) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,10 @@ row ids beside it, so symbols absent from a batch are untouched and a step
 costs O(batch), not O(vocabulary).  Every other group gets a dense gradient
 and a dense update.
 Checkpointing keeps the parameters with the lowest validation loss under
-*hard* codes, which is exactly the inference regime.
+*hard* codes, which is exactly the inference regime: validation composes
+through ``compose_digits``, which builds no graph.  A frozen code table
+(``frozen_table``) trains the composer through the composer's private
+differentiable op for the same hard-code forward.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .composer import (
     DEFAULT_HIDDEN_WIDTH,
     CodeBook,
     ComposerKind,
+    _compose_frozen,
     compose_digits,
     compose_relaxed,
     init_codebook,
@@ -309,7 +313,7 @@ class Trainer:
         rows: dict[str, Tensor] = {}
         if self.frozen_table is not None:
             # no table is read by row: the digit tensor takes a dense gradient
-            v = compose_digits(self.frozen_table.codes[symbols], self.book)
+            v = _compose_frozen(self.frozen_table.codes[symbols], self.book)
             relaxed = None
             logit_rows = None
         else:

@@ -23,6 +23,7 @@ from codepress.baselines import random_codes
 from codepress.cli import main as cli_main
 from codepress.codes import CodeConfig, entropy_regularizer, extract_codes
 from codepress.composer import (
+    _compose_frozen,
     build_factorization,
     compose_digits,
     compose_relaxed,
@@ -136,7 +137,8 @@ def _composer_cases(rng: np.random.Generator, kind: str):
 
 
 def _lstm_cases(rng: np.random.Generator):
-    """The lstm recurrence op with a tied output gate, and fed by compose_digits."""
+    """The lstm recurrence op with a tied output gate, and the frozen-code op
+    (hard digits) on an lstm."""
     alpha, length, dprime, dim, batch = 3, 3, 4, 5, 2
     tied = init_codebook(alpha, length, dprime, dim, "lstm", rng, tie_output_gate=True)
     book = init_codebook(alpha, length, dprime, dim, "lstm", rng)
@@ -149,11 +151,11 @@ def _lstm_cases(rng: np.random.Generator):
         return ad.tsum(ad.multiply(compose_relaxed(ad.softmax_t(logits, tau), tied), mix))
 
     def hard():
-        return ad.tsum(ad.multiply(compose_digits(digits, book), mix))
+        return ad.tsum(ad.multiply(_compose_frozen(digits, book), mix))
 
     return [
         ("composer-lstm-tied", relaxed, [logits, *tied.parameters().values()]),
-        ("compose_digits-lstm", hard, list(book.parameters().values())),
+        ("compose_frozen-lstm", hard, list(book.parameters().values())),
     ]
 
 
