@@ -232,7 +232,7 @@ def _lstm_forward(inputs, book: CodeBook, batch: int, cache: bool):
     block.  The loop adds and rounds in the order of the per-node graph it
     replaced.  Returns ``(total, saved)``: with ``cache`` false, saved is None
     and the loop reuses one position's buffers; otherwise saved is the
-    (D, batch, .) state that ``_lstm_backward`` reads.
+    (D, batch, .) state that ``_lstm_recurrence``'s backward reads.
     """
     us, bs = _lstm_weights(book)
     u = np.concatenate([p.data for p in us], axis=1)
@@ -266,54 +266,49 @@ def _lstm_forward(inputs, book: CodeBook, batch: int, cache: bool):
     return total, ((acts, mem, cell, u) if cache else None)
 
 
-def _lstm_backward(upstream: np.ndarray, saved, us: list[Tensor], bs: list[Tensor]) -> np.ndarray:
-    """Backward through time from the summed hidden states' gradient: adds
-    into the gate parameters' ``.grad`` and returns the (D, batch, d')
-    gradient of the input terms.  A tied block adds into ``u_t``/``b_t``."""
-    acts, mem, cell, u = saved
-    length, batch, width = cell.shape
-    dz = np.empty_like(acts)
-    de = np.empty_like(cell)
-    dh = upstream
-    dm = np.zeros((batch, width))
-    for j in reversed(range(length)):
-        a, d = acts[j], dz[j]
-        t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
-        dm = dm + dh * o_gate * (1.0 - cell[j] * cell[j])
-        np.multiply(dm, mem[j], out=d[:, 0])
-        np.multiply(dm, candidate, out=d[:, 1])
-        np.multiply(dh, cell[j], out=d[:, 2])
-        np.multiply(dm, i_gate, out=d[:, 3])
-        # d act / d z: s (1 - s) on the sigmoid blocks, 1 - g^2 on the tanh one
-        slope = a * (1.0 - a)
-        np.subtract(1.0, candidate * candidate, out=slope[:, 3])
-        d *= slope
-        d.sum(axis=1, out=de[j])
-        dm = dm * t_gate
-        if j:
-            dh = upstream + d.reshape(batch, 4 * width) @ u.T
-    # h before each position: zero, then o * tanh(mem) of the one before
-    h_prev = np.zeros_like(cell)
-    np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
-    flat_dz = dz.reshape(-1, 4 * width)
-    du = h_prev.reshape(-1, width).T @ flat_dz
-    db = flat_dz.sum(axis=0)
-    for k, (up, bp) in enumerate(zip(us, bs)):
-        up.grad += du[:, k * width : (k + 1) * width]
-        bp.grad += db[k * width : (k + 1) * width]
-    return de
-
-
 def _lstm_recurrence(contribs: Tensor, book: CodeBook) -> Tensor:
-    """The lstm over (B, D, d') contributions as one op, with a hand-written
-    backward through time."""
-    x = contribs.data
+    """The lstm over (B, D, d') contributions as one op: ``_lstm_forward``
+    with its cache, and a hand-written backward through time.  The
+    contributions may also come flat, as (B * D, d') rows in batch-major
+    order.  A tied output gate's block adds its gradient into ``u_t``/``b_t``."""
+    length, width = book.code_length, book.digit_dim
+    x = contribs.data.reshape(-1, length, width)
+    batch = x.shape[0]
     us, bs = _lstm_weights(book)
-    total, saved = _lstm_forward(lambda j: x[:, j], book, x.shape[0], cache=True)
+    total, (acts, mem, cell, u) = _lstm_forward(lambda j: x[:, j], book, batch, cache=True)
     out = Tensor(total, (contribs, *us, *bs), op="lstm_recurrence")
 
     def _back(upstream):
-        contribs.grad += _lstm_backward(upstream, saved, us, bs).transpose(1, 0, 2)
+        dz = np.empty_like(acts)
+        de = np.empty_like(cell)
+        dh = upstream
+        dm = np.zeros((batch, width))
+        for j in reversed(range(length)):
+            a, d = acts[j], dz[j]
+            t_gate, i_gate, o_gate, candidate = a.transpose(1, 0, 2)
+            dm = dm + dh * o_gate * (1.0 - cell[j] * cell[j])
+            np.multiply(dm, mem[j], out=d[:, 0])
+            np.multiply(dm, candidate, out=d[:, 1])
+            np.multiply(dh, cell[j], out=d[:, 2])
+            np.multiply(dm, i_gate, out=d[:, 3])
+            # d act / d z: s (1 - s) on the sigmoid blocks, 1 - g^2 on the tanh one
+            slope = a * (1.0 - a)
+            np.subtract(1.0, candidate * candidate, out=slope[:, 3])
+            d *= slope
+            d.sum(axis=1, out=de[j])
+            dm = dm * t_gate
+            if j:
+                dh = upstream + d.reshape(batch, 4 * width) @ u.T
+        # h before each position: zero, then o * tanh(mem) of the one before
+        h_prev = np.zeros_like(cell)
+        np.multiply(acts[:-1, :, 2], cell[:-1], out=h_prev[1:])
+        flat_dz = dz.reshape(-1, 4 * width)
+        du = h_prev.reshape(-1, width).T @ flat_dz
+        db = flat_dz.sum(axis=0)
+        contribs.grad += de.transpose(1, 0, 2).reshape(contribs.data.shape)
+        for k, (up, bp) in enumerate(zip(us, bs)):
+            up.grad += du[:, k * width : (k + 1) * width]
+            bp.grad += db[k * width : (k + 1) * width]
 
     return ad._attach(out, _back)
 
@@ -345,79 +340,46 @@ def _digit_rows(digits, book: CodeBook) -> np.ndarray:
     return digits + book.alphabet_size * np.arange(book.code_length)
 
 
-def _compose_rows(rows: np.ndarray, book: CodeBook, cache: bool):
-    """Summed digit vectors (the lstm: summed hidden states) of the ``C`` rows
-    ``rows``, before the head, as ``(total, saved lstm state or None)``.
-
-    Every parameter of the book is checked first: a non-finite one need not
-    show in the rows (an lstm's gates saturate), and no graph node checks it.
-    """
-    for name, p in book.parameters().items():
-        if not np.all(np.isfinite(p.data)):
-            raise FloatingPointError(f"non-finite values in codebook parameter '{name}'")
-    flat = book.table.data.reshape(-1, book.digit_dim)
-    if book.kind is ComposerKind.LSTM:
-        return _lstm_forward(lambda j: flat[rows[:, j]], book, rows.shape[0], cache)
-    total = flat[rows[:, 0]]
-    for j in range(1, book.code_length):
-        total += flat[rows[:, j]]
-    return total, None
-
-
-def _head_values(total: np.ndarray, book: CodeBook) -> np.ndarray:
-    """``_head`` on plain arrays, with the graph's expressions and roundings."""
-    ex = book.extras
-    if book.kind is ComposerKind.HIDDEN:
-        hidden = total @ ex["w_hidden"].data
-        hidden += ex["b_hidden"].data
-        np.maximum(hidden, 0.0, out=hidden)
-        out = hidden @ ex["w_out"].data
-        out += ex["b_out"].data
-        return out
-    if book.projection is not None:
-        return total @ book.projection.data.T.copy()  # as the graph's transpose node copies
-    return total
-
-
 def compose_digits(digits: np.ndarray, book: CodeBook) -> Tensor:
     """Compose embedding rows for raw digit rows (batch, code_length).
 
     Gathers row ``j * alphabet + digit`` of ``C`` per position; the sum
     families add the rows in position order, lstm feeds them to its
     recurrence one position at a time.  This is the inference regime: the
-    work is plain numpy, no graph is built and no backward state is kept, so
-    the result is a parentless tensor.  A non-finite codebook parameter
-    raises ``FloatingPointError``.  The one-hot ``B @ C`` of compose_relaxed
-    adds the same terms, but in the BLAS's order, so the two can differ by
-    one rounding per entry.
+    rows are composed in plain numpy, no backward state is kept, and the
+    result is a parentless tensor.  Every codebook parameter is checked
+    first, since a non-finite one need not show in the rows (an lstm's gates
+    saturate): it raises ``FloatingPointError``.  The one-hot ``B @ C`` of
+    compose_relaxed adds the same terms, but in the BLAS's order, so the two
+    can differ by one rounding per entry.
     """
-    total, _ = _compose_rows(_digit_rows(digits, book), book, cache=False)
-    return Tensor(_head_values(total, book), name="compose_digits")
+    rows = _digit_rows(digits, book)
+    for name, p in book.parameters().items():
+        if not np.all(np.isfinite(p.data)):
+            raise FloatingPointError(f"non-finite values in codebook parameter '{name}'")
+    flat = book.table.data.reshape(-1, book.digit_dim)
+    if book.kind is ComposerKind.LSTM:
+        total, _ = _lstm_forward(lambda j: flat[rows[:, j]], book, rows.shape[0], cache=False)
+    else:
+        total = flat[rows[:, 0]]
+        for j in range(1, book.code_length):
+            total += flat[rows[:, j]]
+    return Tensor(_head(Tensor(total), book).data, name="compose_digits")
 
 
 def _compose_frozen(digits: np.ndarray, book: CodeBook) -> Tensor:
-    """compose_digits as a differentiable op, for training on a frozen code
-    table: the same forward, with the lstm's state kept for a backward that
-    gives the gradients of the graph it replaces (a row gather of ``C`` per
-    position, their sum or the recurrence, then the head) bit for bit.
-    Each position's rows of ``C`` are its own, so one scatter-add over all
-    positions adds every row's terms in that graph's order."""
+    """compose_digits as an autodiff graph, for training on a frozen code
+    table: a row gather of ``C`` per position added in position order (lstm:
+    one gather of every row, fed to the recurrence op), then the head.  Its
+    forward gives compose_digits' bits."""
     rows = _digit_rows(digits, book)
-    total, saved = _compose_rows(rows, book, cache=True)
-    us, bs = _lstm_weights(book) if book.kind is ComposerKind.LSTM else ([], [])
-    out = Tensor(total, (book.table, *us, *bs), op="compose_frozen")
-    width = book.digit_dim
-
-    def _back(upstream):
-        if saved is None:  # a sum passes its gradient to every term
-            de = np.broadcast_to(upstream[:, None], (*rows.shape, width))
-        else:
-            de = _lstm_backward(upstream, saved, us, bs).transpose(1, 0, 2)
-        grad = np.zeros((book.code_length * book.alphabet_size, width))
-        np.add.at(grad, rows.reshape(-1), de.reshape(-1, width))
-        book.table.grad += grad.reshape(book.table.data.shape)
-
-    return _head(ad._attach(out, _back), book)
+    flat = _flat_table(book)
+    if book.kind is ComposerKind.LSTM:
+        return _head(_lstm_recurrence(ad.gather_rows(flat, rows.reshape(-1)), book), book)
+    total = ad.gather_rows(flat, rows[:, 0])
+    for j in range(1, book.code_length):
+        total = total + ad.gather_rows(flat, rows[:, j])
+    return _head(total, book)
 
 
 def build_factorization(table: CodeTable, book: CodeBook) -> tuple[np.ndarray, np.ndarray]:

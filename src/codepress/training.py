@@ -20,8 +20,8 @@ and a dense update.
 Checkpointing keeps the parameters with the lowest validation loss under
 *hard* codes, which is exactly the inference regime: validation composes
 through ``compose_digits``, which builds no graph.  A frozen code table
-(``frozen_table``) trains the composer through the composer's private
-differentiable op for the same hard-code forward.
+(``frozen_table``) trains the composer through ``_compose_frozen``, the same
+hard-code composition built as a graph of row gathers.
 """
 
 from __future__ import annotations

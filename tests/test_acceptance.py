@@ -137,8 +137,8 @@ def _composer_cases(rng: np.random.Generator, kind: str):
 
 
 def _lstm_cases(rng: np.random.Generator):
-    """The lstm recurrence op with a tied output gate, and the frozen-code op
-    (hard digits) on an lstm."""
+    """The lstm recurrence op with a tied output gate, and the frozen-code
+    path's graph (hard digits) on an lstm."""
     alpha, length, dprime, dim, batch = 3, 3, 4, 5, 2
     tied = init_codebook(alpha, length, dprime, dim, "lstm", rng, tie_output_gate=True)
     book = init_codebook(alpha, length, dprime, dim, "lstm", rng)

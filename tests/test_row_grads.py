@@ -19,7 +19,7 @@ from codepress import autodiff as ad
 from codepress.autodiff import Tensor
 from codepress.baselines import fit_dense_embedding, random_codes
 from codepress.codes import CodeConfig, CodeTable
-from codepress.composer import ComposerKind
+from codepress.composer import ComposerKind, _compose_frozen
 from codepress.datasets import clustered_embeddings, marker_corpus
 from codepress.guidance import GuidanceConfig
 from codepress.tasks import ClassificationTask, ReconstructionTask, SymbolBatch
@@ -238,9 +238,8 @@ def test_odg_trainer_matches_the_dense_path(kind, seed):
 @settings(max_examples=4, deadline=None)
 @given(kind=st.sampled_from(["adam", "sgd"]), seed=st.integers(0, 1000))
 def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
-    """The frozen-code path composes through one op, where it used to build a
-    row gather of the digit tensor per position; the tensor must keep the
-    dense update that graph gave it."""
+    """The frozen-code path composes through row gathers of the digit tensor;
+    the tensor must keep its dense update."""
     code_cfg = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
     table = random_codes(40, 4, 3, seed=seed)
 
@@ -248,17 +247,9 @@ def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
         return Trainer(recon_task(seed), code_cfg, ComposerKind.LINEAR, train_cfg(kind, seed),
                        frozen_table=table)
 
-    def gathered(book, digits):
-        flat = ad.reshape(book.table, (-1, book.digit_dim))
-        rows = digits + book.alphabet_size * np.arange(book.code_length)
-        total = ad.gather_rows(flat, rows[:, 0])
-        for j in range(1, book.code_length):
-            total = ad.add(total, ad.gather_rows(flat, rows[:, j]))
-        return total
-
     def digits_loss(ref):
         return lambda b, tau: (
-            ref.task.batch_loss(gathered(ref.book, table.codes[b.symbols]), b), {})
+            ref.task.batch_loss(_compose_frozen(table.codes[b.symbols], ref.book), b), {})
 
     tr = check_trainer_matches_dense(make, kind, [], dense_loss=digits_loss)
     batch = tr.task.train_batches(16, np.random.default_rng(0))[0]
