@@ -17,9 +17,10 @@ The clip scales that gradient like any other, and the optimizer takes the
 row ids beside it, so symbols absent from a batch are untouched and a step
 costs O(batch), not O(vocabulary).  Every other group gets a dense gradient
 and a dense update.
-Checkpointing keeps the parameters with the lowest validation loss under
-*hard* codes, which is exactly the inference regime: validation composes
-through ``compose_digits``, which builds no graph.  A frozen code table
+The one checkpoint holds the parameters with the lowest validation loss under
+*hard* codes, the inference regime (validation composes through the graph-free
+``compose_digits``).  Only an improving epoch copies the parameters, after
+dropping the old copy; a restore copies in place.  A frozen code table
 (``frozen_table``) trains the composer through ``_compose_frozen``, the same
 hard-code composition built as a graph of row gathers.
 """
@@ -266,7 +267,9 @@ class Trainer:
         self.aborted = False
         # each group's gradient norm at the last step, before the clip
         self.last_grad_norms: dict[str, float] = {}
-        self._last_good = self._snapshot()
+        # the checkpoint; ``fit`` sets ``best_val`` to the initial parameters' loss
+        self.best = self._snapshot()
+        self.best_val, self.best_epoch = math.inf, 0
 
     # -- parameter snapshots ------------------------------------------------
 
@@ -275,7 +278,7 @@ class Trainer:
 
     def _restore(self, snap: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
-            p.data = snap[name].copy()
+            np.copyto(p.data, snap[name])
 
     # -- inference-mode embeddings ------------------------------------------
 
@@ -376,7 +379,7 @@ class Trainer:
                 grads = ad.gradients(loss, {**self.params, **rows})
             except FloatingPointError:
                 self.aborted = True
-                self._restore(self._last_good)
+                self._restore(self.best)
                 record = self._record(tau, sums, count, val=None, aborted=True)
                 self.history.append(record)
                 return record
@@ -386,7 +389,10 @@ class Trainer:
             count += 1
             self.step += 1
         val = self.validate()
-        self._last_good = self._snapshot()
+        if val < self.best_val:
+            self.best = None  # drop the old checkpoint before copying the new one
+            self.best = self._snapshot()
+            self.best_val, self.best_epoch = val, len(self.history) + 1
         record = self._record(tau, sums, count, val=val, aborted=False)
         self.history.append(record)
         return record
@@ -436,25 +442,19 @@ def fit(task, code_cfg: CodeConfig, composer_kind: ComposerKind | str, cfg: Trai
     ``tie_output_gate``, ``pretrained``, ``frozen_table`` and ``symbols``.
     """
     trainer = Trainer(task, code_cfg, composer_kind, cfg, **options)
-    best_val = trainer.validate()
-    best_epoch = 0
-    best_snap = trainer._last_good
+    trainer.best_val = trainer.validate()
     for _ in range(cfg.epochs):
-        record = trainer.train_epoch()
+        trainer.train_epoch()
         if trainer.aborted:
             break
-        if record["val_metric"] < best_val:
-            best_val = record["val_metric"]
-            best_epoch = len(trainer.history)
-            best_snap = trainer._last_good
-    trainer._restore(best_snap)
+    trainer._restore(trainer.best)
     return FitResult(
         table=trainer.current_table(),
         book=trainer.book,
         task=task,
         history=trainer.history,
-        best_val=float(best_val),
-        best_epoch=best_epoch,
+        best_val=float(trainer.best_val),
+        best_epoch=trainer.best_epoch,
         aborted=trainer.aborted,
         u_table=trainer.u_table,
     )

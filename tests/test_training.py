@@ -1,9 +1,12 @@
 """End-to-end training: schedules, optimizers, determinism, checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from codepress import autodiff as ad
+from codepress import training
 from codepress.autodiff import Tensor
 from codepress.baselines import random_codes
 from codepress.codes import CodeConfig, extract_codes
@@ -287,11 +290,11 @@ class TestFit:
         assert recomputed == pytest.approx(result.best_val, rel=1e-12)
 
     def test_later_epochs_and_aborts_leave_the_best_checkpoint_alone(self):
-        # fit keeps the trainer's own end-of-epoch snapshot as its best
-        # checkpoint, so no later step, abort or restore may write into it
+        # fit restores the trainer's one checkpoint, so no later step, abort
+        # or restore may write into it
         tr = Trainer(make_task(), CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=3))
         tr.train_epoch()
-        best = tr._last_good
+        best = tr.best
         kept = {name: a.copy() for name, a in best.items()}
         tr.train_epoch()
         tr.logits.data[0, 0, 0] = np.nan
@@ -331,3 +334,115 @@ class TestFit:
         sel = Tensor(np.eye(result.table.alphabet_size)[result.table.codes])
         via_matmul = compose_relaxed(sel, result.book).data
         assert np.array_equal(result.embedding_matrix(), via_matmul)
+
+
+class NanAtStep:
+    """Task wrapper whose batch loss turns NaN at its ``step``-th call."""
+
+    def __init__(self, task, step: int):
+        self._task, self._step, self.calls = task, step, 0
+
+    def __getattr__(self, name):
+        return getattr(self._task, name)
+
+    def batch_loss(self, task_input, batch):
+        self.calls += 1
+        loss = self._task.batch_loss(task_input, batch)
+        return ad.scale(loss, np.nan) if self.calls == self._step else loss
+
+
+def every_epoch_snapshot_fit(task, code_cfg, kind, cfg):
+    """The checkpointing ``fit`` had before the trainer kept one checkpoint: a
+    snapshot after every completed epoch, the lowest validation loss (the
+    initial parameters' included) kept, and that snapshot restored at the end."""
+    tr = Trainer(task, code_cfg, kind, cfg)
+    best_val, best_epoch, best = tr.validate(), 0, tr._snapshot()
+    for _ in range(cfg.epochs):
+        record = tr.train_epoch()
+        if tr.aborted:
+            break
+        snap = tr._snapshot()
+        if record["val_metric"] < best_val:
+            best_val, best_epoch, best = record["val_metric"], len(tr.history), snap
+    for name, p in tr.params.items():
+        p.data = best[name].copy()
+    return tr, best_val, best_epoch
+
+
+class TestOneCheckpoint:
+    @pytest.mark.parametrize("case", ["later_epoch_worse", "abort_mid_epoch", "no_epochs"])
+    def test_fit_equals_the_every_epoch_snapshot_loop(self, case, monkeypatch):
+        kind, cfg, wrap = {
+            # a high learning rate makes later epochs validate worse
+            "later_epoch_worse": (ComposerKind.HIDDEN, tiny_cfg(
+                epochs=6, learning_rate=0.05, guidance=GuidanceConfig(mode="odg")), None),
+            # 2 steps per epoch: the 8th step is the second of epoch 4, and
+            # epoch 3 validates worse than epoch 2
+            "abort_mid_epoch": (ComposerKind.LINEAR, tiny_cfg(epochs=5, learning_rate=0.1), 8),
+            "no_epochs": (ComposerKind.LSTM, tiny_cfg(epochs=0), None),
+        }[case]
+
+        def task():
+            t = make_task(seed=4)
+            return t if wrap is None else NanAtStep(t, wrap)
+
+        made = []
+
+        class Recording(Trainer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(training, "Trainer", Recording)
+        result = fit(task(), CODE4, kind, cfg)
+        ref, ref_val, ref_epoch = every_epoch_snapshot_fit(task(), CODE4, kind, cfg)
+
+        assert result.best_val == ref_val
+        assert result.best_epoch == ref_epoch
+        assert np.array_equal(result.table.codes, ref.current_table().codes)
+        assert result.history == ref.history
+        (tr,) = made
+        assert list(tr.params) == list(ref.params)
+        for name, p in tr.params.items():
+            assert np.array_equal(p.data, ref.params[name].data), name
+        vals = [r["val_metric"] for r in result.history]
+        if case == "later_epoch_worse":
+            assert 0 < result.best_epoch < cfg.epochs
+            assert max(vals[result.best_epoch:]) > result.best_val
+        elif case == "abort_mid_epoch":
+            assert result.aborted and len(result.history) == 4 and vals[-1] is None
+            assert 0 < result.best_epoch < 3
+        else:
+            assert result.history == [] and result.best_epoch == 0
+
+    def test_restore_writes_into_the_live_arrays(self):
+        tr = Trainer(make_task(), CODE4, ComposerKind.LSTM,
+                     tiny_cfg(guidance=GuidanceConfig(mode="odg")))
+        arrays = {name: p.data for name, p in tr.params.items()}
+        tr.train_epoch()
+        tr.logits.data[0, 0, 0] = np.nan
+        assert tr.train_epoch()["aborted"]  # the abort restores the checkpoint
+        tr._restore(tr.best)
+        for name, p in tr.params.items():
+            assert p.data is arrays[name], name
+            assert np.array_equal(p.data, tr.best[name]), name
+
+    def test_a_fit_holds_the_code_logits_four_times_not_five(self):
+        # at this shape the (N, D, K) float64 tables dominate: the live logits,
+        # Adam's m and v and the one checkpoint.  A second checkpoint taken
+        # before the first is dropped, or a restore through a fresh copy, would
+        # make a fifth.
+        n, k, d = 4000, 16, 16
+        targets, _ = clustered_embeddings(n, 8, 16, np.random.default_rng(0))
+        task = ReconstructionTask(targets)
+        code = CodeConfig(vocab_size=n, alphabet_size=k, code_length=d, code_embed_dim=8)
+        cfg = tiny_cfg(epochs=2, batch_size=32)
+        table_bytes = n * d * k * 8
+        tracemalloc.start()  # counts only what is allocated from here on
+        try:
+            result = fit(task, code, ComposerKind.LINEAR, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch > 0
+        assert peak < 4.5 * table_bytes, peak / table_bytes
