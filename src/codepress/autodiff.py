@@ -24,6 +24,13 @@ forward values it needs, never its own output; ``_attach`` stores it on the
 output behind a weak reference.  So a graph holds no reference cycle, and
 reference counting frees it as soon as its root is dropped, whether or not
 backward ever ran, without waiting for the cyclic garbage collector.
+Gradient buffers live only while they are needed: a node's zero buffer is
+made just before the first backward that writes into it, and ``gradients()``
+drops an interior node's buffer right after that node's own backward has
+run, keeping only the requested tensors'.  ``backward()`` keeps every
+buffer, since the finite-difference checker reads ``.grad``.  Buffers start
+at the same zeros and take the same ``+=`` in the same order either way, so
+both give bit-identical gradients.
 Hard-code inference builds no graph at all (``composer.compose_digits``
 works on plain arrays), and ``cross_entropy_logits`` computes its softmax
 inside its backward, so a validation loss that is never differentiated does
@@ -98,19 +105,36 @@ class Tensor:
 
     def backward(self) -> None:
         """Reverse accumulation from this scalar into .grad of all ancestors."""
-        _backprop(self, topo_order(self))
+        _backprop(self, topo_order(self), keep=None)
 
 
-def _backprop(loss: Tensor, order: list[Tensor]):
-    """Run every backward closure of ``order`` (parents first) from ``loss``."""
+def _backprop(loss: Tensor, order: list[Tensor], keep: set[int] | None):
+    """Run every backward closure of ``order`` (parents first) from ``loss``.
+
+    A node's zero gradient buffer is made just before the first backward that
+    writes into it, and dropped right after the node's own backward has run,
+    unless ``keep`` holds the node's id (``None`` keeps every buffer).  Every
+    kept node ends with a buffer, zero if nothing wrote into it.
+    """
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     for node in order:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
+        if node._backward is None:
+            continue
+        if node.grad is None:  # every child stops the gradient: a zero upstream
+            node.grad = np.zeros_like(node.data)
+        for parent in node._parents:
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+        node._backward()
+        if keep is not None and id(node) not in keep:
+            node.grad = None
+    for node in order:
+        if node.grad is None and (keep is None or id(node) in keep):
+            node.grad = np.zeros_like(node.data)
 
 
 def _attach(out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
@@ -393,7 +417,7 @@ def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     for pname, p in params.items():
         if id(p) not in members:
             raise ValueError(f"parameter '{pname}' is not in the graph")
-    _backprop(loss, order)
+    _backprop(loss, order, keep={id(p) for p in params.values()})
     return {pname: p.grad for pname, p in params.items()}
 
 

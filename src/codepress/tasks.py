@@ -8,7 +8,8 @@ layer — dense, coded, or a quantization baseline — plugs in unchanged.
 Task protocol (duck-typed):
 
 * ``vocab_size``, ``embed_dim`` attributes
-* ``train_batches(batch_size, rng)`` -> list of SymbolBatch
+* ``train_batches(batch_size, rng)`` -> Iterator[SymbolBatch], drawing its
+  shuffle from ``rng`` when called and building each batch as it is asked for
 * ``batch_loss(rows, batch)`` -> scalar Tensor (already normalized)
 * ``parameters()`` -> dict of task-owned trainable tensors
 * ``validation_loss(embed_rows)`` / ``evaluate(embed_rows)`` where
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -61,13 +62,13 @@ class ReconstructionTask:
         split_rng = np.random.default_rng(split_seed)
         self.train_ids, self.val_ids = split_indices(self.vocab_size, val_fraction, split_rng)
 
-    def train_batches(self, batch_size: int, rng: np.random.Generator) -> list[SymbolBatch]:
+    def train_batches(self, batch_size: int, rng: np.random.Generator) -> Iterator[SymbolBatch]:
         order = rng.permutation(self.train_ids)
-        batches = []
-        for start in range(0, order.size, batch_size):
-            symbols = np.sort(order[start : start + batch_size])
-            batches.append(SymbolBatch(symbols=symbols, targets=self.targets[symbols]))
-        return batches
+        return (self._batch(np.sort(order[start : start + batch_size]))
+                for start in range(0, order.size, batch_size))
+
+    def _batch(self, symbols: np.ndarray) -> SymbolBatch:
+        return SymbolBatch(symbols=symbols, targets=self.targets[symbols])
 
     def batch_loss(self, rows: Tensor, batch: SymbolBatch) -> Tensor:
         target = Tensor(batch.targets, op="leaf", name="recon_targets")
@@ -137,21 +138,19 @@ class ClassificationTask:
         split_rng = np.random.default_rng(split_seed)
         self.train_ids, self.val_ids = split_indices(len(self.docs), val_fraction, split_rng)
 
-    def train_batches(self, batch_size: int, rng: np.random.Generator) -> list[SymbolBatch]:
+    def train_batches(self, batch_size: int, rng: np.random.Generator) -> Iterator[SymbolBatch]:
         order = rng.permutation(self.train_ids)
-        batches = []
-        for start in range(0, order.size, batch_size):
-            doc_ids = order[start : start + batch_size]
-            docs = [self.docs[i] for i in doc_ids]
-            symbols = np.unique(np.concatenate(docs))
-            batches.append(
-                SymbolBatch(
-                    symbols=symbols,
-                    doc_matrix=_averaging_matrix(docs, symbols),
-                    labels=self.labels[doc_ids],
-                )
-            )
-        return batches
+        return (self._batch(order[start : start + batch_size])
+                for start in range(0, order.size, batch_size))
+
+    def _batch(self, doc_ids: np.ndarray) -> SymbolBatch:
+        docs = [self.docs[i] for i in doc_ids]
+        symbols = np.unique(np.concatenate(docs))
+        return SymbolBatch(
+            symbols=symbols,
+            doc_matrix=_averaging_matrix(docs, symbols),
+            labels=self.labels[doc_ids],
+        )
 
     def batch_loss(self, rows: Tensor, batch: SymbolBatch) -> Tensor:
         weights = Tensor(batch.doc_matrix, op="leaf", name="doc_weights")

@@ -16,7 +16,9 @@ graph never holds the whole table and the leaf's gradient is just those rows.
 The clip scales that gradient like any other, and the optimizer takes the
 row ids beside it, so symbols absent from a batch are untouched and a step
 costs O(batch), not O(vocabulary).  Every other group gets a dense gradient
-and a dense update.
+and a dense update.  A step drops its graph as soon as the gradients are
+out, before the clip and the optimizer, and the task builds each batch when
+the loop asks for it, so an epoch never holds all its batches at once.
 The one checkpoint holds the parameters with the lowest validation loss under
 *hard* codes, the inference regime (validation composes through the graph-free
 ``compose_digits``).  Only an improving epoch copies the parameters, after
@@ -383,8 +385,12 @@ class Trainer:
                 record = self._record(tau, sums, count, val=None, aborted=True)
                 self.history.append(record)
                 return record
+            # the graph dies here, before the clip's and the optimizer's temporaries
+            row_ids = dict.fromkeys(rows, batch.symbols)
+            del loss, rows
             self.last_grad_norms = ad.global_norm_clip(grads, cfg.grad_clip)
-            self.opt.step(grads, dict.fromkeys(rows, batch.symbols))
+            self.opt.step(grads, row_ids)
+            del grads
             sums += (task_val, ent_val, guid_val)
             count += 1
             self.step += 1

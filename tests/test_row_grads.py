@@ -227,7 +227,7 @@ def test_odg_trainer_matches_the_dense_path(kind, seed):
         return Trainer(recon_task(seed), code_cfg, ComposerKind.LINEAR, cfg)
 
     tr = check_trainer_matches_dense(make, kind, ["code_logits", "odg_u"])
-    batch = tr.task.train_batches(16, np.random.default_rng(0))[0]
+    batch = next(iter(tr.task.train_batches(16, np.random.default_rng(0))))
     rows = tr._batch_loss(batch, 0.5)[-1]
     assert set(rows) == {"code_logits", "odg_u"}
     for name, leaf in rows.items():
@@ -252,7 +252,7 @@ def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
             ref.task.batch_loss(_compose_frozen(table.codes[b.symbols], ref.book), b), {})
 
     tr = check_trainer_matches_dense(make, kind, [], dense_loss=digits_loss)
-    batch = tr.task.train_batches(16, np.random.default_rng(0))[0]
+    batch = next(iter(tr.task.train_batches(16, np.random.default_rng(0))))
     assert tr._batch_loss(batch, 0.5)[-1] == {}  # no table is read by row
 
 

@@ -154,14 +154,14 @@ class TestReconstructionTask:
     def test_unit_targets_against_zero_rows_score_one(self):
         targets = np.eye(4)  # unit-norm rows
         task = ReconstructionTask(targets)
-        batch = task.train_batches(4, np.random.default_rng(0))[0]
+        batch = next(iter(task.train_batches(4, np.random.default_rng(0))))
         loss = task.batch_loss(Tensor(np.zeros((4, 4))), batch)
         assert loss.item() == pytest.approx(1.0)
 
     def test_exact_rows_score_zero(self):
         targets = np.random.default_rng(11).normal(size=(10, 3))
         task = ReconstructionTask(targets)
-        batch = task.train_batches(10, np.random.default_rng(0))[0]
+        batch = next(iter(task.train_batches(10, np.random.default_rng(0))))
         loss = task.batch_loss(Tensor(targets[batch.symbols]), batch)
         assert loss.item() == 0.0
 
@@ -187,7 +187,7 @@ class TestReconstructionTask:
 
     def test_batches_cover_all_training_rows_once(self):
         task = ReconstructionTask(np.zeros((23, 2)))
-        batches = task.train_batches(5, np.random.default_rng(13))
+        batches = list(task.train_batches(5, np.random.default_rng(13)))
         seen = np.concatenate([b.symbols for b in batches])
         assert np.array_equal(np.sort(seen), np.arange(23))
         assert all(b.symbols.size <= 5 for b in batches)
