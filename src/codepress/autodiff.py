@@ -7,13 +7,14 @@ Conventions, fixed across the whole package:
 * argmax ties break to the lowest index,
 * randomness always comes from an explicitly passed ``numpy.random.Generator``.
 
-A computation is expressed by calling ops on ``Tensor`` values; calling
-``backward()`` on a scalar result accumulates vector-Jacobian products into
-``.grad`` of every node it depends on; ``gradients()`` runs the same pass and
-returns one dense gradient per requested tensor.  Nothing here knows about
-rows: a caller that reads only some rows of a large table makes those rows a
-leaf of their own and gets that leaf's gradient back (``Trainer`` does so for
-its row-read tables, and tells the optimizer which rows they are).
+A computation is expressed by calling ops on ``Tensor`` values.
+``gradients(loss, params)`` is the one backward pass: it runs every op's
+vector-Jacobian product from a scalar ``loss`` and returns one dense gradient
+per requested tensor.  The trainer and ``finite_difference_check`` both call
+it, so the finite-difference suite checks the pass that trains.  Nothing here
+knows about rows: a caller that reads only some rows of a large table makes
+those rows a leaf of their own and gets that leaf's gradient back (``Trainer``
+does so for its row-read tables, and tells the optimizer which rows they are).
 Two ops deliberately lie to the gradient: ``stop_gradient`` (backward is
 zero) and ``straight_through`` (forward is the hard argmax one-hot, backward
 is the identity), so both are rejected by the finite-difference checker when
@@ -24,13 +25,10 @@ forward values it needs, never its own output; ``_attach`` stores it on the
 output behind a weak reference.  So a graph holds no reference cycle, and
 reference counting frees it as soon as its root is dropped, whether or not
 backward ever ran, without waiting for the cyclic garbage collector.
-Gradient buffers live only while they are needed: a node's zero buffer is
-made just before the first backward that writes into it, and ``gradients()``
-drops an interior node's buffer right after that node's own backward has
-run, keeping only the requested tensors'.  ``backward()`` keeps every
-buffer, since the finite-difference checker reads ``.grad``.  Buffers start
-at the same zeros and take the same ``+=`` in the same order either way, so
-both give bit-identical gradients.
+Gradient buffers live only while they are needed: ``gradients()`` makes a
+node's zero buffer just before the first backward that writes into it and
+drops an interior node's buffer right after that node's own backward has run.
+The requested tensors keep theirs in ``.grad``, which is the array returned.
 Hard-code inference builds no graph at all (``composer.compose_digits``
 works on plain arrays), and ``cross_entropy_logits`` computes its softmax
 inside its backward, so a validation loss that is never differentiated does
@@ -38,7 +36,6 @@ not pay for it.  The stored ``_backward`` takes no arguments, so code that
 wraps it (a profiler timing each op's backward, say) needs to know nothing
 about how the upstream gradient is read.
 """
-
 from __future__ import annotations
 
 import weakref
@@ -102,39 +99,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         return transpose(self)
-
-    def backward(self) -> None:
-        """Reverse accumulation from this scalar into .grad of all ancestors."""
-        _backprop(self, topo_order(self), keep=None)
-
-
-def _backprop(loss: Tensor, order: list[Tensor], keep: set[int] | None):
-    """Run every backward closure of ``order`` (parents first) from ``loss``.
-
-    A node's zero gradient buffer is made just before the first backward that
-    writes into it, and dropped right after the node's own backward has run,
-    unless ``keep`` holds the node's id (``None`` keeps every buffer).  Every
-    kept node ends with a buffer, zero if nothing wrote into it.
-    """
-    if loss.data.shape != ():
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    for node in order:
-        node.grad = None
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is None:
-            continue
-        if node.grad is None:  # every child stops the gradient: a zero upstream
-            node.grad = np.zeros_like(node.data)
-        for parent in node._parents:
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-        node._backward()
-        if keep is not None and id(node) not in keep:
-            node.grad = None
-    for node in order:
-        if node.grad is None and (keep is None or id(node) in keep):
-            node.grad = np.zeros_like(node.data)
 
 
 def _attach(out: Tensor, back: Callable[[np.ndarray], None]) -> Tensor:
@@ -410,14 +374,38 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Backward pass returning the dense gradient of each requested tensor.
 
-    Raises if the loss is not scalar or a tensor is not part of the graph.
+    Runs every backward closure below the scalar ``loss``, children first.  A
+    node's zero gradient buffer is made just before the first backward that
+    writes into it, and an interior node's is dropped right after the node's
+    own backward has run.  The requested tensors keep theirs (zero if nothing
+    reached them).  Raises if the loss is not scalar or a tensor is not part
+    of the graph.
     """
+    if loss.data.shape != ():
+        raise ValueError(f"gradients requires a scalar loss, got shape {loss.shape}")
     order = topo_order(loss)
     members = {id(node) for node in order}
     for pname, p in params.items():
         if id(p) not in members:
             raise ValueError(f"parameter '{pname}' is not in the graph")
-    _backprop(loss, order, keep={id(p) for p in params.values()})
+    keep = {id(p) for p in params.values()}
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward is None:
+            continue
+        if node.grad is None:  # every child stops the gradient: a zero upstream
+            node.grad = np.zeros_like(node.data)
+        for parent in node._parents:
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+        node._backward()
+        if id(node) not in keep:
+            node.grad = None
+    for p in params.values():
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
     return {pname: p.grad for pname, p in params.items()}
 
 
@@ -455,8 +443,7 @@ def finite_difference_check(
     opaque = _opaque_op_on_path(loss, param)
     if opaque is not None:
         raise ValueError(f"finite differences invalid through '{opaque}' on the checked path")
-    loss.backward()
-    analytic = param.grad.reshape(-1).copy()
+    analytic = gradients(loss, {"param": param})["param"].reshape(-1)
     flat = param.data.reshape(-1)
     worst = 0.0
     for i in range(flat.size):

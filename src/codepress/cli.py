@@ -181,16 +181,13 @@ def cmd_probe_codes(args) -> int:
     groups: dict[str, list[str]] = {}
     for i, sym in enumerate(table.symbols):
         groups.setdefault(table.code_string(i), []).append(sym)
-    shown = 0
-    for code in sorted(groups):
-        members = groups[code]
-        if args.collisions_only and len(members) < 2:
-            continue
-        print(f"{code}: {' '.join(members)}")
-        shown += 1
-        if args.max_groups and shown >= args.max_groups:
-            print(f"... ({len(groups) - shown} more groups)")
-            break
+    listed = [code for code in sorted(groups)
+              if not args.collisions_only or len(groups[code]) >= 2]
+    limit = args.max_groups if args.max_groups > 0 else len(listed)
+    for code in listed[:limit]:
+        print(f"{code}: {' '.join(groups[code])}")
+    if len(listed) > limit:
+        print(f"... ({len(listed) - limit} more groups)")
     if args.embeddings:
         matrix = _load_table_embeddings(args.embeddings, table)
         probe = code_semantics_probe(table, matrix, np.random.default_rng(args.seed))

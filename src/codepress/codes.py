@@ -186,10 +186,11 @@ class CodeSpaceStats:
     collisions: int
 
 
-def code_space_stats(table: CodeTable, alphabet_size: int, code_length: int) -> CodeSpaceStats:
-    """Occupancy of the K^D code space: unique codes, fill rate, collision count."""
+def code_space_stats(table: CodeTable) -> CodeSpaceStats:
+    """Occupancy of the table's K^D code space: unique codes, fill rate,
+    collision count."""
     unique = len({tuple(row) for row in table.codes})
-    space = alphabet_size**code_length
+    space = table.alphabet_size**table.code_length
     return CodeSpaceStats(
         unique_codes=unique,
         utilization=unique / space,

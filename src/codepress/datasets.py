@@ -159,11 +159,13 @@ def split_indices(
     n: int, val_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded shuffle split into (train, val); val gets round(n*fraction), at
-    least 1 when the fraction is positive and n > 1."""
+    least 1 when the fraction is positive and n > 1, and train keeps at least
+    one item whenever n >= 1."""
     if not 0.0 <= val_fraction < 1.0:
         raise ValueError("val_fraction must lie in [0, 1)")
     order = rng.permutation(n)
     n_val = int(round(n * val_fraction))
     if val_fraction > 0 and n > 1:
-        n_val = min(max(n_val, 1), n - 1)
+        n_val = max(n_val, 1)
+    n_val = min(n_val, max(n - 1, 0))
     return np.sort(order[n_val:]), np.sort(order[:n_val])

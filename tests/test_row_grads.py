@@ -3,11 +3,11 @@
 The row path is the trainer's: the batch's rows of a table enter the graph as
 a fresh leaf, that leaf's gradient goes to the clip as it is, and the
 optimizer takes it with the batch's row ids.  The reference is the dense path:
-``backward()`` through ``gather_rows`` fills a full ``.grad`` per parameter,
-the clip rescales the full arrays, and the reference optimizers index those
-full arrays at the same row ids.  The row path must give the same gradients
-and parameter updates to 1e-12, and every row that no batch touched must stay
-bit-identical.
+``gradients()`` through ``gather_rows`` returns a full-size gradient per
+parameter, the clip rescales the full arrays, and the reference optimizers
+index those full arrays at the same row ids.  The row path must give the
+same gradients and parameter updates to 1e-12, and every row that no batch
+touched must stay bit-identical.
 """
 
 import numpy as np
@@ -70,11 +70,6 @@ class DenseSgd:
                 p.data -= self.lr * grads[name]
 
 
-def dense_grads(loss, params):
-    loss.backward()
-    return {name: p.grad.copy() for name, p in params.items()}
-
-
 def make_optimizers(kind, params, ref_params, lr):
     if kind == "adam":
         return Adam(params, lr), DenseAdam(ref_params, lr)
@@ -115,7 +110,7 @@ def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
         target = rng.normal(size=(idx.size, WIDTH))
         rows = Tensor(params["table"].data[idx])
         grads = ad.gradients(row_loss(rows, params["w"], target), {"table": rows, "w": params["w"]})
-        ref_grads = dense_grads(row_loss(ad.gather_rows(ref["table"], idx), ref["w"], target), ref)
+        ref_grads = ad.gradients(row_loss(ad.gather_rows(ref["table"], idx), ref["w"], target), ref)
         np.testing.assert_allclose(grads["table"], ref_grads["table"][idx], rtol=0, atol=TOL)
         absent = np.setdiff1d(np.arange(N_ROWS), idx)
         assert not ref_grads["table"][absent].any()
@@ -145,7 +140,7 @@ def test_row_grad_norm_is_the_dense_norm():
     target = Tensor(np.array([[1.5, 0.0], [0.0, 2.0]]), op="const")
     rows = Tensor(table.data[idx])
     row_grad = ad.gradients(ad.squared_error(rows, target), {"table": rows})
-    dense = dense_grads(ad.squared_error(ad.gather_rows(table, idx), target), {"table": table})
+    dense = ad.gradients(ad.squared_error(ad.gather_rows(table, idx), target), {"table": table})
     scattered = np.zeros_like(table.data)
     scattered[idx] = row_grad["table"]
     assert np.array_equal(dense["table"], scattered)
@@ -155,8 +150,8 @@ def test_row_grad_norm_is_the_dense_norm():
 
 def test_backward_keeps_a_dense_leaf_gradient():
     table = Tensor(np.arange(8.0).reshape(4, 2))
-    ad.tsum(ad.gather_rows(table, [1, 1, 3])).backward()
-    assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
+    grad = ad.gradients(ad.tsum(ad.gather_rows(table, [1, 1, 3])), {"table": table})["table"]
+    assert np.array_equal(grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
 # -- the trainer and the dense baseline -----------------------------------------
@@ -182,14 +177,11 @@ def dense_epoch(tr, opt, lazy_names, batch_loss):
     """
     for batch in tr.task.train_batches(tr.cfg.batch_size, tr.rng):
         loss, rows = batch_loss(batch, tr.schedule.temperature(tr.step))
-        loss.backward()
-        grads = {}
-        for name, p in tr.params.items():
-            if name in rows:
-                grads[name] = np.zeros_like(p.data)
-                grads[name][batch.symbols] = rows[name].grad
-            else:
-                grads[name] = p.grad.copy()
+        grads = ad.gradients(loss, {name: rows.get(name, p) for name, p in tr.params.items()})
+        for name in rows:
+            full = np.zeros_like(tr.params[name].data)
+            full[batch.symbols] = grads[name]
+            grads[name] = full
         ad.global_norm_clip(grads, tr.cfg.grad_clip)
         opt.step(grads, {name: batch.symbols for name in lazy_names})
         tr.step += 1

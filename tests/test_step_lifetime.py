@@ -4,7 +4,8 @@ needs them.
 ``gradients()`` makes a node's zero buffer just before the first backward
 that writes into it and drops an interior node's buffer once its own backward
 has run; the gradients must stay bit-identical to the eager pass that
-zero-fills every buffer first.  The trainer drops a step's graph before the
+zero-fills every buffer first, on the trainer's graphs and on the
+finite-difference gate's.  The trainer drops a step's graph before the
 clip and the optimizer, and the tasks build their batches one at a time from
 the shuffle they draw when called.
 """
@@ -15,6 +16,8 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from test_acceptance import _gradient_cases
 
 from codepress import autodiff as ad
 from codepress.codes import CodeConfig
@@ -45,7 +48,7 @@ def eager_backward(loss):
             node._backward()
 
 
-# -- gradients() against backward() on the trainer's own graphs ---------------
+# -- gradients() against the eager pass ---------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,13 +92,26 @@ def test_gradients_are_bit_identical_and_drop_interior_buffers(
             assert node.grad is None, node
     assert all(grads[name] is p.grad for name, p in params.items())
 
-    for reference in (lambda root: root.backward(), eager_backward):
-        loss, params = build()
-        reference(loss)
-        assert all(node.grad is not None for node in ad.topo_order(loss))
-        for name, p in params.items():
-            assert grads[name].dtype == p.grad.dtype, name
-            assert np.array_equal(grads[name], p.grad), name
+    loss, params = build()
+    eager_backward(loss)
+    assert all(node.grad is not None for node in ad.topo_order(loss))
+    for name, p in params.items():
+        assert grads[name].dtype == p.grad.dtype, name
+        assert np.array_equal(grads[name], p.grad), name
+
+
+def test_gradients_match_the_eager_pass_on_the_gradient_gate():
+    """One trial of the finite-difference gate's cases: the analytic gradient
+    the checker reads is the eager pass's, bit for bit."""
+    checked = 0
+    for label, build, params in _gradient_cases(0):
+        for p in params:
+            grad = ad.gradients(build(), {"p": p})["p"]
+            eager_backward(build())
+            assert grad.dtype == p.grad.dtype, label
+            assert np.array_equal(grad, p.grad), label
+            checked += 1
+    assert checked == 77
 
 
 def test_a_requested_interior_tensor_keeps_its_buffer():

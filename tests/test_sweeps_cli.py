@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from codepress.cli import main
-from codepress.codes import CodeConfig, load_code_table
+from codepress.codes import CodeConfig, CodeTable, load_code_table, save_code_table
 from codepress.composer import DEFAULT_HIDDEN_WIDTH, load_codebook
 from codepress.configfile import (
     DEFAULTS,
@@ -429,6 +429,21 @@ class TestCli:
         assert main(["probe-codes", "--codes", str(out / "codes.txt")]) == 0
         printed = capsys.readouterr().out
         assert ":" in printed  # "<code>: symbols" lines
+
+    @pytest.mark.parametrize("argv, groups, more", [
+        (["--collisions-only", "--max-groups", "1"], ["0-0: a b"], "... (1 more groups)"),
+        (["--collisions-only", "--max-groups", "2"], ["0-0: a b", "1-1: e f"], None),
+        (["--max-groups", "4"], ["0-0: a b", "0-1: c", "1-0: d", "1-1: e f"], None),
+        (["--max-groups", "3"], ["0-0: a b", "0-1: c", "1-0: d"], "... (1 more groups)"),
+    ], ids=["collisions-cut", "collisions-all-shown", "all-shown", "cut"])
+    def test_probe_codes_counts_only_the_groups_it_leaves_out(self, tmp_path, capsys,
+                                                              argv, groups, more):
+        table = CodeTable(symbols=list("abcdef"), alphabet_size=2,
+                          codes=np.array([[0, 0], [0, 0], [0, 1], [1, 0], [1, 1], [1, 1]]))
+        save_code_table(table, tmp_path / "codes.txt")
+        assert main(["probe-codes", "--codes", str(tmp_path / "codes.txt"), *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == groups + ([more] if more else [])
 
     def test_help_config_lists_keys(self, capsys):
         assert main(["fit-codes", "--help-config"]) == 0

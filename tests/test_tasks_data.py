@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codepress.autodiff import Tensor
+from codepress.codes import CodeConfig
 from codepress.datasets import (
     LabeledCorpus,
     clustered_embeddings,
@@ -14,6 +15,7 @@ from codepress.datasets import (
     split_indices,
 )
 from codepress.tasks import ClassificationTask, ReconstructionTask, _averaging_matrix
+from codepress.training import TrainConfig, fit
 
 
 class TestVocab:
@@ -142,6 +144,20 @@ class TestSplitIndices:
         train, val = split_indices(10, 0.0, np.random.default_rng(10))
         assert val.size == 0
         assert np.array_equal(train, np.arange(10))
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.6, 0.99])
+    def test_one_item_stays_in_training(self, fraction):
+        train, val = split_indices(1, fraction, np.random.default_rng(11))
+        assert train.tolist() == [0] and val.size == 0
+
+    def test_one_document_classification_trains_and_evaluates(self):
+        corpus = LabeledCorpus(docs=[np.array([0, 2, 2])], labels=np.array([1]),
+                               n_classes=2, vocab_size=4)
+        task = ClassificationTask(corpus, 4, np.random.default_rng(0), val_fraction=0.6)
+        code = CodeConfig(vocab_size=4, alphabet_size=2, code_length=2, code_embed_dim=4)
+        result = fit(task, code, "linear-sum", TrainConfig(epochs=2, batch_size=4, seed=0))
+        assert [record["step"] for record in result.history] == [1, 2]
+        assert set(result.evaluate()) == {"val_loss", "val_accuracy", "train_accuracy"}
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError, match="val_fraction"):
