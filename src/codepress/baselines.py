@@ -270,10 +270,10 @@ def pretrained_codes(
     digit_dim: int | None = None,
     cfg: TrainConfig | None = None,
     symbols: list[str] | None = None,
-) -> tuple[CodeTable, FitResult]:
+) -> FitResult:
     """Two-stage scheme, stage one: learn codes purely by reconstructing the
     given matrix, then freeze them (stage two trains a composer + task with
-    ``frozen_table=`` the returned table)."""
+    ``frozen_table=`` the result's table)."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if cfg is None:
         cfg = TrainConfig(epochs=25, batch_size=128)
@@ -285,8 +285,7 @@ def pretrained_codes(
         code_embed_dim=digit_dim if digit_dim is not None else matrix.shape[1],
         allow_lossy=True,
     )
-    result = fit(task, code_cfg, composer_kind, cfg, symbols=symbols)
-    return result.table, result
+    return fit(task, code_cfg, composer_kind, cfg, symbols=symbols)
 
 
 # -- packaged results -------------------------------------------------------------

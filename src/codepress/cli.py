@@ -62,7 +62,10 @@ def cmd_fit_codes(args) -> int:
         f"best_val={result.best_val:.6f} "
         f"reconstruction_mse={report.reconstruction_mse:.6f} -> {out}"
     )
-    return 0
+    if result.aborted:
+        print(f"fit-codes: aborted in epoch {len(result.history)} on a non-finite value; "
+              f"kept the checkpoint of epoch {result.best_epoch}", file=sys.stderr)
+    return 1 if result.aborted else 0
 
 
 def _emit(reports, out: str) -> int:
@@ -147,14 +150,13 @@ def _cmd_code_baseline(args, symbols, targets, start) -> int:
         result = fit(task, code_cfg, "linear-sum", cfg, frozen_table=table, symbols=symbols)
         tag = "random-codes"
     else:
-        table, result = pretrained_codes(
-            targets, args.alphabet, args.length, "linear-sum", cfg=cfg, symbols=symbols
-        )
+        result = pretrained_codes(targets, args.alphabet, args.length, "linear-sum", cfg=cfg,
+                                  symbols=symbols)
         tag = "pretrained-codes"
     scores = result.evaluate()
     report = build_report(
         method=tag,
-        config=kd_config(table, result.book, d),
+        config=kd_config(result.table, result.book, d),
         metrics=scores,
         reconstruction_mse=scores["reconstruction_mse"],
         wall_time_s=time.perf_counter() - start,

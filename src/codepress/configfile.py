@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
 One setting per line, ``key = value``; blank lines and ``#`` comments are
-ignored.  Unknown keys are rejected.  Every key has a default, so an empty
-file is a valid configuration.  ``describe_defaults()`` renders the full
-documented key table (also shown by ``codepress fit-codes --help-config``).
+ignored.  Unknown keys and non-finite numbers are rejected; every key has a
+default, so an empty file is a valid configuration.  ``describe_defaults()``
+renders the key table that ``codepress fit-codes --help-config`` prints.
 
 A key that sets a dataclass field names its ``(class, field)``, and each
 builder makes its class from the keys that name it.  The training, schedule
@@ -13,6 +13,7 @@ keys keep their own (``allow_lossy`` is on in a config, off in ``CodeConfig``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -109,7 +110,9 @@ def _coerce(key: str, raw: str):
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
-        return float(raw)
+        if not math.isfinite(value := float(raw)):
+            raise ValueError(f"{key}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 

@@ -7,7 +7,8 @@ layer — dense, coded, or a quantization baseline — plugs in unchanged.
 
 Task protocol (duck-typed):
 
-* ``vocab_size``, ``embed_dim`` attributes
+* ``vocab_size``, ``embed_dim`` and ``train_ids`` attributes (the trainer sizes
+  its schedules from ``len(train_ids)``)
 * ``train_batches(batch_size, rng)`` -> Iterator[SymbolBatch], drawing its
   shuffle from ``rng`` when called and building each batch as it is asked for
 * ``batch_loss(rows, batch)`` -> scalar Tensor (already normalized)

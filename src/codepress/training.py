@@ -19,11 +19,11 @@ costs O(batch), not O(vocabulary).  Every other group gets a dense gradient
 and a dense update.  A step drops its graph as soon as the gradients are
 out, before the clip and the optimizer, and the task builds each batch when
 the loop asks for it, so an epoch never holds all its batches at once.
-The one checkpoint holds the parameters with the lowest validation loss under
-*hard* codes, the inference regime (validation composes through the graph-free
-``compose_digits``).  Only an improving epoch copies the parameters, after
-dropping the old copy; a restore copies in place.  A frozen code table
-(``frozen_table``) trains the composer through ``_compose_frozen``, the same
+``Trainer`` keeps no checkpoint; ``fit`` owns the one, the parameters with the
+lowest validation loss under *hard* codes, the inference regime (validation
+composes through the graph-free ``compose_digits``).  Only an improving epoch
+copies them, after dropping the old copy; the restore copies in place.
+``frozen_table`` trains the composer through ``_compose_frozen``, the same
 hard-code composition built as a graph of row gathers.
 """
 
@@ -254,7 +254,7 @@ class Trainer:
         else:
             self.opt = Sgd(self.params, cfg.learning_rate)
 
-        n_train = len(getattr(task, "train_ids"))
+        n_train = len(task.train_ids)
         steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
         self.total_steps = max(1, cfg.epochs * steps_per_epoch)
         sched = cfg.schedule
@@ -269,9 +269,6 @@ class Trainer:
         self.aborted = False
         # each group's gradient norm at the last step, before the clip
         self.last_grad_norms: dict[str, float] = {}
-        # the checkpoint; ``fit`` sets ``best_val`` to the initial parameters' loss
-        self.best = self._snapshot()
-        self.best_val, self.best_epoch = math.inf, 0
 
     # -- parameter snapshots ------------------------------------------------
 
@@ -369,51 +366,40 @@ class Trainer:
         return loss, task_val, entropy_val, guidance_val, rows
 
     def train_epoch(self) -> dict:
-        """One seeded-shuffled pass; returns the epoch's metrics record."""
+        """One seeded-shuffled pass and its validation; appends the epoch's
+        metrics record to ``history`` and returns it.  A non-finite value in a
+        step or in validation aborts the epoch: the record's ``aborted`` and
+        ``self.aborted`` are set, and its ``val_metric`` is None.  The
+        parameters stay as the failure left them, maybe non-finite: ``fit``
+        restores its checkpoint, and a direct caller must keep its own."""
         cfg = self.cfg
         sums = np.zeros(3)
         count = 0
         tau = self.schedule.temperature(self.step)
-        for batch in self.task.train_batches(cfg.batch_size, self.rng):
-            tau = self.schedule.temperature(self.step)
-            try:
+        val = None
+        try:
+            for batch in self.task.train_batches(cfg.batch_size, self.rng):
+                tau = self.schedule.temperature(self.step)
                 loss, task_val, ent_val, guid_val, rows = self._batch_loss(batch, tau)
                 grads = ad.gradients(loss, {**self.params, **rows})
-            except FloatingPointError:
-                self.aborted = True
-                self._restore(self.best)
-                record = self._record(tau, sums, count, val=None, aborted=True)
-                self.history.append(record)
-                return record
-            # the graph dies here, before the clip's and the optimizer's temporaries
-            row_ids = dict.fromkeys(rows, batch.symbols)
-            del loss, rows
-            self.last_grad_norms = ad.global_norm_clip(grads, cfg.grad_clip)
-            self.opt.step(grads, row_ids)
-            del grads
-            sums += (task_val, ent_val, guid_val)
-            count += 1
-            self.step += 1
-        val = self.validate()
-        if val < self.best_val:
-            self.best = None  # drop the old checkpoint before copying the new one
-            self.best = self._snapshot()
-            self.best_val, self.best_epoch = val, len(self.history) + 1
-        record = self._record(tau, sums, count, val=val, aborted=False)
+                # the graph dies here, before the clip's and the optimizer's temporaries
+                row_ids = dict.fromkeys(rows, batch.symbols)
+                del loss, rows
+                self.last_grad_norms = ad.global_norm_clip(grads, cfg.grad_clip)
+                self.opt.step(grads, row_ids)
+                del grads
+                sums += (task_val, ent_val, guid_val)
+                count += 1
+                self.step += 1
+            val = self.validate()
+        except FloatingPointError:
+            self.aborted = True
+        task_loss, entropy, guidance_loss = (sums / max(count, 1)).tolist()
+        record = {"step": self.step, "tau": float(tau), "task_loss": task_loss,
+                  "entropy": entropy, "guidance_loss": guidance_loss,
+                  "val_metric": None if val is None else float(val), "aborted": val is None}
         self.history.append(record)
         return record
-
-    def _record(self, tau, sums, count, val, aborted) -> dict:
-        denom = max(count, 1)
-        return {
-            "step": self.step,
-            "tau": float(tau),
-            "task_loss": float(sums[0] / denom),
-            "entropy": float(sums[1] / denom),
-            "guidance_loss": float(sums[2] / denom),
-            "val_metric": None if val is None else float(val),
-            "aborted": aborted,
-        }
 
 
 @dataclass
@@ -441,26 +427,34 @@ class FitResult:
 
 def fit(task, code_cfg: CodeConfig, composer_kind: ComposerKind | str, cfg: TrainConfig,
         **options) -> FitResult:
-    """Train codes + composer + task end-to-end; keep the best-validation
-    checkpoint (hard-code evaluation) and extract the final code table from it.
+    """Train codes + composer + task end-to-end and return the checkpoint with
+    the lowest hard-code validation loss, the initial parameters included.
 
+    ``fit`` owns that one checkpoint.  After each epoch that beats it, the old
+    copy is dropped before the new one is taken.  An aborted epoch ends the
+    fit, and the checkpoint is restored in place once, at the end.
     ``options`` go to ``Trainer`` unchanged: ``hidden_width``,
     ``tie_output_gate``, ``pretrained``, ``frozen_table`` and ``symbols``.
     """
     trainer = Trainer(task, code_cfg, composer_kind, cfg, **options)
-    trainer.best_val = trainer.validate()
-    for _ in range(cfg.epochs):
-        trainer.train_epoch()
+    best_val, best_epoch = trainer.validate(), 0
+    best = trainer._snapshot()
+    for epoch in range(1, cfg.epochs + 1):
+        val = trainer.train_epoch()["val_metric"]
         if trainer.aborted:
             break
-    trainer._restore(trainer.best)
+        if val < best_val:
+            best = None  # drop the old checkpoint before copying the new one
+            best = trainer._snapshot()
+            best_val, best_epoch = val, epoch
+    trainer._restore(best)
     return FitResult(
         table=trainer.current_table(),
         book=trainer.book,
         task=task,
         history=trainer.history,
-        best_val=float(trainer.best_val),
-        best_epoch=trainer.best_epoch,
+        best_val=float(best_val),
+        best_epoch=best_epoch,
         aborted=trainer.aborted,
         u_table=trainer.u_table,
     )

@@ -209,13 +209,13 @@ class TestPretrainedCodes:
         rng = np.random.default_rng(16)
         matrix = rng.normal(size=(30, 6))
         cfg = TrainConfig(epochs=0, batch_size=16)
-        table, result = pretrained_codes(matrix, 4, 3, cfg=cfg)
+        result = pretrained_codes(matrix, 4, 3, cfg=cfg)
         code_cfg = CodeConfig(
             vocab_size=30, alphabet_size=4, code_length=3, code_embed_dim=6,
             allow_lossy=True,
         )
         fresh = Trainer(ReconstructionTask(matrix), code_cfg, ComposerKind.LINEAR, cfg)
-        assert np.array_equal(table.codes, fresh.current_table().codes)
+        assert np.array_equal(result.table.codes, fresh.current_table().codes)
         assert result.history == []
 
     def test_clustered_data_shares_codes_within_clusters(self):
@@ -224,7 +224,7 @@ class TestPretrainedCodes:
             60, 8, 4, rng, center_scale=3.0, spread=0.05
         )
         cfg = TrainConfig(epochs=40, batch_size=32, learning_rate=0.02)
-        table, _ = pretrained_codes(matrix, 4, 2, cfg=cfg)
+        table = pretrained_codes(matrix, 4, 2, cfg=cfg).table
         same = labels[:, None] == labels[None, :]
         hamming = (table.codes[:, None, :] != table.codes[None, :, :]).sum(axis=2)
         off_diag = ~np.eye(60, dtype=bool)

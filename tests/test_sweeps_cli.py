@@ -1,6 +1,7 @@
 """Config files, sweep/ablation drivers, and the command-line entry points."""
 
 import hashlib
+import json
 from dataclasses import fields
 from operator import attrgetter
 
@@ -115,6 +116,15 @@ class TestConfigFile:
         path.write_text("allow_lossy = maybe\n")
         with pytest.raises(ValueError, match="boolean"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "key", [key for key, spec in DEFAULTS.items() if isinstance(spec.default, float)])
+    def test_non_finite_number_names_the_line(self, tmp_path, key):
+        path = tmp_path / "bad.cfg"
+        for bad in ("nan", "inf", "-Infinity", "1e999"):
+            path.write_text(f"epochs = 2\n{key} = {bad}\n")
+            with pytest.raises(ValueError, match=rf"bad\.cfg:2: {key}: expected a finite"):
+                parse_config(path)
 
     def test_describe_defaults_covers_every_key(self):
         text = describe_defaults()
@@ -302,6 +312,28 @@ class TestCli:
         assert book.alphabet_size == 4 and book.code_length == 3
         lines = (out / "metrics.jsonl").read_text().strip().split("\n")
         assert len(lines) == 2  # one record per epoch
+
+    # vocab 50 is one step per epoch, and the abort comes in its validation;
+    # vocab 300 is three, and the second step aborts
+    @pytest.mark.parametrize("vocab", [50, 300])
+    def test_fit_codes_reports_an_aborted_fit(self, tmp_path, capsys, vocab):
+        cfg = tmp_path / "run.cfg"
+        outs = {}
+        for epochs in (2, 0):
+            cfg.write_text(f"learning_rate = 1e300\nvocab_size = {vocab}\nepochs = {epochs}\n")
+            outs[epochs] = tmp_path / f"epochs{epochs}"
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = main(["fit-codes", str(cfg), "--out-dir", str(outs[epochs])])
+            assert code == (1 if epochs else 0)
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "fit-codes: aborted in epoch 1 on a non-finite value; kept the checkpoint of epoch 0"]
+        lines = (outs[2] / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [(r["step"], r["val_metric"], r["aborted"]) for r in records] == [(1, None, True)]
+        # the artefacts hold the kept checkpoint: the initial parameters
+        for artifact in ("codes.txt", "codebook.bin"):
+            assert (outs[2] / artifact).read_bytes() == (outs[0] / artifact).read_bytes()
 
     def test_eval_against_saved_artifacts(self, workdir, capsys):
         out = workdir / "run"

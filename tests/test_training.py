@@ -45,6 +45,26 @@ def tiny_cfg(**kw):
 CODE4 = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
 
 
+def record_fit(monkeypatch):
+    """Make the trainers ``fit`` builds record themselves, their parameter
+    arrays as first made, and each snapshot with a copy taken as it was made."""
+    made, snaps = [], []
+
+    class Recording(Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.arrays = {name: p.data for name, p in self.params.items()}
+            made.append(self)
+
+        def _snapshot(self):
+            snap = super()._snapshot()
+            snaps.append((snap, {name: a.copy() for name, a in snap.items()}))
+            return snap
+
+    monkeypatch.setattr(training, "Trainer", Recording)
+    return made, snaps
+
+
 class TestTempSchedule:
     def test_starts_at_tau_init(self):
         assert TempSchedule(horizon=100).temperature(0) == 1.0
@@ -190,20 +210,29 @@ class TestTrainerWiring:
         explicit = Trainer(task, CODE4, ComposerKind.LINEAR, tiny_cfg())
         assert explicit.schedule.horizon == 10
 
-    def test_abort_on_non_finite_restores_last_good_state(self):
+    def test_abort_on_non_finite_restores_last_good_state(self, monkeypatch):
+        # an aborted epoch leaves the parameters as the failure left them ...
         task = make_task()
         tr = Trainer(task, CODE4, ComposerKind.LINEAR, tiny_cfg())
         good = tr.train_epoch()
         assert not good["aborted"]
-        snap = tr._snapshot()
         tr.logits.data[0, 0, 0] = np.nan
         record = tr.train_epoch()
         assert record["aborted"] is True
         assert record["val_metric"] is None
         assert tr.aborted
+        assert np.isnan(tr.logits.data[0, 0, 0])
+        # ... and fit restores its last checkpoint: 2 steps per epoch, so the
+        # 4th step is the second of epoch 2
+        made, snaps = record_fit(monkeypatch)
+        result = fit(NanAtStep(make_task(), 4), CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=3))
+        assert result.aborted and result.best_epoch == 1
+        assert [r["aborted"] for r in result.history] == [False, True]
+        (tr,) = made
+        best, _ = snaps[-1]
         for name, p in tr.params.items():
             assert np.all(np.isfinite(p.data)), name
-            assert np.array_equal(p.data, snap[name]), name
+            assert np.array_equal(p.data, best[name]), name
 
     def test_config_task_mismatch_errors(self):
         task = make_task()
@@ -289,21 +318,36 @@ class TestFit:
         recomputed = task.validation_loss(result.embed_rows)
         assert recomputed == pytest.approx(result.best_val, rel=1e-12)
 
-    def test_later_epochs_and_aborts_leave_the_best_checkpoint_alone(self):
-        # fit restores the trainer's one checkpoint, so no later step, abort
-        # or restore may write into it
-        tr = Trainer(make_task(), CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=3))
-        tr.train_epoch()
-        best = tr.best
-        kept = {name: a.copy() for name, a in best.items()}
-        tr.train_epoch()
-        tr.logits.data[0, 0, 0] = np.nan
-        assert tr.train_epoch()["aborted"]
-        tr._restore(best)
+    def test_later_epochs_and_aborts_leave_the_best_checkpoint_alone(self, monkeypatch):
+        # fit restores its one checkpoint, so no later step, abort or restore
+        # may write into it: 2 steps per epoch, and the 6th step (epoch 3) aborts
+        made, snaps = record_fit(monkeypatch)
+        result = fit(NanAtStep(make_task(), 6), CODE4, ComposerKind.LINEAR,
+                     tiny_cfg(epochs=3, learning_rate=0.05))
+        assert result.aborted and len(result.history) == 3 and result.best_epoch == 2
+        (tr,) = made
         for p in tr.params.values():
             p.data += 1.0
-        for name, a in best.items():
-            assert np.array_equal(a, kept[name]), name
+        for snap, kept in snaps:
+            for name, a in snap.items():
+                assert np.array_equal(a, kept[name]), name
+
+    def test_a_validation_that_diverges_aborts_the_fit(self, monkeypatch):
+        # one step per epoch at a huge learning rate: the step completes, and
+        # the projection overflows in validation, which ends the epoch as an abort
+        made, snaps = record_fit(monkeypatch)
+        code = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=4)
+        cfg = tiny_cfg(batch_size=32, learning_rate=1e300)
+        with np.errstate(over="ignore"):
+            result = fit(make_task(), code, ComposerKind.LINEAR, cfg)
+        assert result.aborted and result.best_epoch == 0
+        assert [(r["step"], r["val_metric"], r["aborted"]) for r in result.history] == [
+            (1, None, True)]
+        (tr,) = made
+        fresh = Trainer(make_task(), code, ComposerKind.LINEAR, cfg)
+        for name, p in tr.params.items():
+            assert np.array_equal(p.data, fresh.params[name].data), name
+        assert result.best_val == fresh.validate()
 
     def test_straight_through_equals_hard_table_evaluation(self):
         task = make_task(seed=5)
@@ -386,14 +430,7 @@ class TestOneCheckpoint:
             t = make_task(seed=4)
             return t if wrap is None else NanAtStep(t, wrap)
 
-        made = []
-
-        class Recording(Trainer):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(training, "Trainer", Recording)
+        made, _ = record_fit(monkeypatch)
         result = fit(task(), CODE4, kind, cfg)
         ref, ref_val, ref_epoch = every_epoch_snapshot_fit(task(), CODE4, kind, cfg)
 
@@ -415,17 +452,16 @@ class TestOneCheckpoint:
         else:
             assert result.history == [] and result.best_epoch == 0
 
-    def test_restore_writes_into_the_live_arrays(self):
-        tr = Trainer(make_task(), CODE4, ComposerKind.LSTM,
-                     tiny_cfg(guidance=GuidanceConfig(mode="odg")))
-        arrays = {name: p.data for name, p in tr.params.items()}
-        tr.train_epoch()
-        tr.logits.data[0, 0, 0] = np.nan
-        assert tr.train_epoch()["aborted"]  # the abort restores the checkpoint
-        tr._restore(tr.best)
+    def test_restore_writes_into_the_live_arrays(self, monkeypatch):
+        made, snaps = record_fit(monkeypatch)
+        cfg = tiny_cfg(epochs=3, guidance=GuidanceConfig(mode="odg"))
+        result = fit(NanAtStep(make_task(), 4), CODE4, ComposerKind.LSTM, cfg)
+        assert result.aborted and result.best_epoch == 1  # the abort leaves the restore to fit
+        (tr,) = made
+        best, _ = snaps[-1]
         for name, p in tr.params.items():
-            assert p.data is arrays[name], name
-            assert np.array_equal(p.data, tr.best[name]), name
+            assert p.data is tr.arrays[name], name
+            assert np.array_equal(p.data, best[name]), name
 
     def test_a_fit_holds_the_code_logits_four_times_not_five(self):
         # at this shape the (N, D, K) float64 tables dominate: the live logits,
