@@ -40,7 +40,6 @@ from .training import FitResult, TempSchedule, TrainConfig, Trainer, fit
 from .baselines import (
     low_rank_fit,
     lloyd_kmeans,
-    pretrained_codes,
     product_quantize,
     random_codes,
     scalar_quantize,

@@ -1,19 +1,22 @@
 """Comparison methods: the dense reference table, low-rank factorization,
-product quantization, scalar quantization, random codes, and two-stage
-pretrained codes.
+product quantization, scalar quantization and random codes.
 
 The dense reference trains through ``fit`` on the one-hot code (alphabet N,
-code length 1); see ``fit_dense_embedding``.
+code length 1); see ``fit_dense_embedding``.  A pretrained-code baseline is
+no separate method: it is ``fit`` on a ``ReconstructionTask`` of the matrix,
+whose code table a second fit can take as ``frozen_table``.
 
-The ``evaluate_*`` wrappers return a config echo, not storage figures:
-``reporting.build_report`` derives every method's bits from its echo through
-the same accounting as the coded layer, so bit comparisons across methods are
-internally consistent.
+The ``evaluate_*`` wrappers return the method name, the reconstruction and a
+config echo; they score nothing.  ``tasks.ReconstructionTask`` is the one
+reconstruction error, and ``reporting.build_report`` derives every method's
+bits from its echo through the same accounting as the coded layer, so error
+and bit comparisons across methods are internally consistent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .training import FitResult, TrainConfig, fit
 class LowRankFactors:
     a: np.ndarray  # (n, rank)
     b: np.ndarray  # (rank, dim)
-    mse: float  # per-entry mean squared reconstruction error
 
     def reconstruct(self) -> np.ndarray:
         return self.a @ self.b
@@ -44,9 +46,7 @@ def low_rank_fit(matrix: np.ndarray, rank: int) -> LowRankFactors:
     if not 1 <= rank <= min(n, d):
         raise ValueError(f"rank must lie in [1, {min(n, d)}], got {rank}")
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    a, b = u[:, :rank] * s[:rank], vt[:rank]
-    diff = a @ b - matrix
-    return LowRankFactors(a=a, b=b, mse=float((diff * diff).mean()))
+    return LowRankFactors(a=u[:, :rank] * s[:rank], b=vt[:rank])
 
 
 # -- k-means and product quantization ------------------------------------------
@@ -262,46 +262,13 @@ def random_codes(
     return CodeTable(symbols=symbols, codes=codes, alphabet_size=alphabet_size)
 
 
-def pretrained_codes(
-    matrix: np.ndarray,
-    alphabet_size: int,
-    code_length: int,
-    composer_kind: ComposerKind | str = ComposerKind.LINEAR,
-    digit_dim: int | None = None,
-    cfg: TrainConfig | None = None,
-    symbols: list[str] | None = None,
-) -> FitResult:
-    """Two-stage scheme, stage one: learn codes purely by reconstructing the
-    given matrix, then freeze them (stage two trains a composer + task with
-    ``frozen_table=`` the result's table)."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if cfg is None:
-        cfg = TrainConfig(epochs=25, batch_size=128)
-    task = ReconstructionTask(matrix)
-    code_cfg = CodeConfig(
-        vocab_size=matrix.shape[0],
-        alphabet_size=alphabet_size,
-        code_length=code_length,
-        code_embed_dim=digit_dim if digit_dim is not None else matrix.shape[1],
-        allow_lossy=True,
-    )
-    return fit(task, code_cfg, composer_kind, cfg, symbols=symbols)
-
-
 # -- packaged results -------------------------------------------------------------
 
 
-@dataclass
-class QuantizationResult:
+class QuantizationResult(NamedTuple):
     method: str
     reconstruction: np.ndarray
     config: dict  # config echo; reporting.build_report derives storage from it
-    mse: float
-
-
-def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return float((diff * diff).mean())
 
 
 def _echo(family: str, matrix: np.ndarray, **fields) -> dict:
@@ -310,41 +277,25 @@ def _echo(family: str, matrix: np.ndarray, **fields) -> dict:
 
 
 def evaluate_full(matrix: np.ndarray) -> QuantizationResult:
-    return QuantizationResult(
-        method="full",
-        reconstruction=np.asarray(matrix, dtype=np.float64),
-        config=_echo("full", matrix),
-        mse=0.0,
-    )
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return QuantizationResult("full", matrix, _echo("full", matrix))
 
 
 def evaluate_low_rank(matrix: np.ndarray, rank: int) -> QuantizationResult:
-    recon = low_rank_fit(matrix, rank).reconstruct()
-    return QuantizationResult(
-        method=f"lowrank(r={rank})",
-        reconstruction=recon,
-        config=_echo("lowrank", matrix, rank=rank),
-        mse=_mse(recon, matrix),
-    )
+    return QuantizationResult(f"lowrank(r={rank})", low_rank_fit(matrix, rank).reconstruct(),
+                              _echo("lowrank", matrix, rank=rank))
 
 
 def evaluate_pq(
     matrix: np.ndarray, subspaces: int, n_centroids: int, rng: np.random.Generator
 ) -> QuantizationResult:
-    recon = product_quantize(matrix, subspaces, n_centroids, rng).reconstruct()
     return QuantizationResult(
-        method=f"pq({subspaces}x{n_centroids})",
-        reconstruction=recon,
-        config=_echo("pq", matrix, subspaces=subspaces, n_centroids=n_centroids),
-        mse=_mse(recon, matrix),
+        f"pq({subspaces}x{n_centroids})",
+        product_quantize(matrix, subspaces, n_centroids, rng).reconstruct(),
+        _echo("pq", matrix, subspaces=subspaces, n_centroids=n_centroids),
     )
 
 
 def evaluate_scalar(matrix: np.ndarray, bits: int) -> QuantizationResult:
-    sq = scalar_quantize(matrix, bits)
-    return QuantizationResult(
-        method=f"scalar({bits}bit)",
-        reconstruction=sq.reconstruct(),
-        config=_echo("scalar", matrix, bits_per_value=bits),
-        mse=_mse(sq.quantized, matrix),
-    )
+    return QuantizationResult(f"scalar({bits}bit)", scalar_quantize(matrix, bits).reconstruct(),
+                              _echo("scalar", matrix, bits_per_value=bits))

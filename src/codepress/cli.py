@@ -27,10 +27,9 @@ from .baselines import (
     evaluate_low_rank,
     evaluate_pq,
     evaluate_scalar,
-    pretrained_codes,
     random_codes,
 )
-from .codes import CodeConfig, CodeTable, load_code_table, save_code_table
+from .codes import CodeConfig, CodeTable, code_groups, load_code_table, save_code_table
 from .composer import compose_digits, load_codebook, save_codebook
 from .configfile import describe_defaults, parse_config
 from .datasets import load_embeddings
@@ -116,49 +115,36 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    """Every method yields its rows, scored through the reconstruction task."""
     start = time.perf_counter()
     symbols, targets = load_embeddings(args.embeddings)
-    if args.method in ("random", "pretrained"):
-        return _cmd_code_baseline(args, symbols, targets, start)
+    task = ReconstructionTask(targets)
     if args.method == "full":
-        qr = evaluate_full(targets)
+        method, rows, config = evaluate_full(targets)
     elif args.method == "lowrank":
-        qr = evaluate_low_rank(targets, args.rank)
+        method, rows, config = evaluate_low_rank(targets, args.rank)
     elif args.method == "pq":
-        qr = evaluate_pq(targets, args.subspaces, args.centroids, np.random.default_rng(args.seed))
-    else:  # scalar
-        qr = evaluate_scalar(targets, args.bits)
-    overlap = nn_overlap(targets, qr.reconstruction, args.k) if args.k > 0 else None
+        method, rows, config = evaluate_pq(targets, args.subspaces, args.centroids,
+                                           np.random.default_rng(args.seed))
+    elif args.method == "scalar":
+        method, rows, config = evaluate_scalar(targets, args.bits)
+    else:  # codes under a trained linear-sum composer: random ones frozen, or learned
+        n, d = targets.shape
+        frozen = None
+        if args.method == "random":
+            frozen = random_codes(n, args.alphabet, args.length, args.seed, symbols=symbols)
+        result = fit(task, CodeConfig(n, args.alphabet, args.length, d, allow_lossy=True),
+                     "linear-sum", TrainConfig(epochs=args.epochs, seed=args.seed),
+                     frozen_table=frozen, symbols=symbols)
+        method, rows, config = (f"{args.method}-codes", result.embedding_matrix(),
+                                kd_config(result.table, result.book, d))
+    scores = task.evaluate(lambda ids: rows[ids])
     report = build_report(
-        method=qr.method,
-        config=qr.config,
-        reconstruction_mse=qr.mse,
-        nn_overlap=overlap,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return _emit([report], args.out)
-
-
-def _cmd_code_baseline(args, symbols, targets, start) -> int:
-    """Frozen-random-code and two-stage pretrained-code baselines."""
-    n, d = targets.shape
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
-    if args.method == "random":
-        table = random_codes(n, args.alphabet, args.length, args.seed, symbols=symbols)
-        task = ReconstructionTask(targets)
-        code_cfg = CodeConfig(n, args.alphabet, args.length, d, allow_lossy=True)
-        result = fit(task, code_cfg, "linear-sum", cfg, frozen_table=table, symbols=symbols)
-        tag = "random-codes"
-    else:
-        result = pretrained_codes(targets, args.alphabet, args.length, "linear-sum", cfg=cfg,
-                                  symbols=symbols)
-        tag = "pretrained-codes"
-    scores = result.evaluate()
-    report = build_report(
-        method=tag,
-        config=kd_config(result.table, result.book, d),
+        method=method,
+        config=config,
         metrics=scores,
         reconstruction_mse=scores["reconstruction_mse"],
+        nn_overlap=nn_overlap(targets, rows, args.k) if args.k > 0 else None,
         wall_time_s=time.perf_counter() - start,
     )
     return _emit([report], args.out)
@@ -180,14 +166,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_probe_codes(args) -> int:
     table = load_code_table(args.codes)
-    groups: dict[str, list[str]] = {}
-    for i, sym in enumerate(table.symbols):
-        groups.setdefault(table.code_string(i), []).append(sym)
+    groups = {table.code_string(ids[0]): ids for ids in code_groups(table).values()}
     listed = [code for code in sorted(groups)
               if not args.collisions_only or len(groups[code]) >= 2]
     limit = args.max_groups if args.max_groups > 0 else len(listed)
     for code in listed[:limit]:
-        print(f"{code}: {' '.join(groups[code])}")
+        print(f"{code}: {' '.join(table.symbols[i] for i in groups[code])}")
     if len(listed) > limit:
         print(f"... ({len(listed) - limit} more groups)")
     if args.embeddings:

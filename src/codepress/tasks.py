@@ -163,9 +163,8 @@ class ClassificationTask:
         return {"cls_w": self.w, "cls_b": self.b}
 
     def _forward(self, embed_rows: EmbedRows, doc_ids: np.ndarray) -> np.ndarray:
-        docs = [self.docs[i] for i in doc_ids]
-        symbols = np.unique(np.concatenate(docs))
-        doc_vectors = _averaging_matrix(docs, symbols) @ embed_rows(symbols)
+        batch = self._batch(doc_ids)
+        doc_vectors = batch.doc_matrix @ embed_rows(batch.symbols)
         return doc_vectors @ self.w.data + self.b.data
 
     def _loss_acc(self, embed_rows: EmbedRows, doc_ids: np.ndarray) -> tuple[float, float]:

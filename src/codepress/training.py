@@ -369,14 +369,14 @@ class Trainer:
         """One seeded-shuffled pass and its validation; appends the epoch's
         metrics record to ``history`` and returns it.  A non-finite value in a
         step or in validation aborts the epoch: the record's ``aborted`` and
-        ``self.aborted`` are set, and its ``val_metric`` is None.  The
-        parameters stay as the failure left them, maybe non-finite: ``fit``
-        restores its checkpoint, and a direct caller must keep its own."""
+        ``self.aborted`` are set, its ``val_metric`` is None, and so are its
+        step means if no step completed.  The parameters stay as the failure
+        left them, maybe non-finite: ``fit`` restores its checkpoint, and a
+        direct caller must keep its own."""
         cfg = self.cfg
         sums = np.zeros(3)
         count = 0
         tau = self.schedule.temperature(self.step)
-        val = None
         try:
             for batch in self.task.train_batches(cfg.batch_size, self.rng):
                 tau = self.schedule.temperature(self.step)
@@ -392,9 +392,11 @@ class Trainer:
                 count += 1
                 self.step += 1
             val = self.validate()
+            if not np.isfinite(val):
+                raise FloatingPointError(f"non-finite validation loss {val}")
         except FloatingPointError:
-            self.aborted = True
-        task_loss, entropy, guidance_loss = (sums / max(count, 1)).tolist()
+            self.aborted, val = True, None
+        task_loss, entropy, guidance_loss = (sums / count).tolist() if count else (None,) * 3
         record = {"step": self.step, "tau": float(tau), "task_loss": task_loss,
                   "entropy": entropy, "guidance_loss": guidance_loss,
                   "val_metric": None if val is None else float(val), "aborted": val is None}

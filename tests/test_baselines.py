@@ -11,7 +11,6 @@ from codepress.baselines import (
     evaluate_scalar,
     lloyd_kmeans,
     low_rank_fit,
-    pretrained_codes,
     product_quantize,
     random_codes,
     scalar_quantize,
@@ -21,7 +20,7 @@ from codepress.composer import ComposerKind
 from codepress.datasets import clustered_embeddings
 from codepress.reporting import build_report
 from codepress.tasks import ReconstructionTask
-from codepress.training import TrainConfig, Trainer
+from codepress.training import TrainConfig, Trainer, fit
 
 
 def svd_optimal_mse(matrix: np.ndarray, rank: int) -> float:
@@ -30,24 +29,29 @@ def svd_optimal_mse(matrix: np.ndarray, rank: int) -> float:
     return float((s[rank:] ** 2).sum() / matrix.size)
 
 
+def entry_mse(recon: np.ndarray, matrix: np.ndarray) -> float:
+    """Per-entry mean squared error, the scale of ``svd_optimal_mse``."""
+    return float(((recon - matrix) ** 2).mean())
+
+
 class TestLowRank:
     def test_recovers_exact_rank_one_factorization(self):
         rng = np.random.default_rng(77)
         matrix = np.outer(rng.normal(size=20), rng.normal(size=6))
         result = low_rank_fit(matrix, rank=1)
-        assert result.mse < 1e-6
+        assert entry_mse(result.reconstruct(), matrix) < 1e-6
         assert result.a.shape == (20, 1) and result.b.shape == (1, 6)
 
     def test_full_rank_fit_is_exact(self):
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(8, 5))
-        assert low_rank_fit(matrix, rank=5).mse < 1e-6
+        assert entry_mse(low_rank_fit(matrix, rank=5).reconstruct(), matrix) < 1e-6
 
     def test_error_decreases_with_rank_and_tracks_optimum(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(30, 20))
-        err5 = low_rank_fit(matrix, rank=5).mse
-        err10 = low_rank_fit(matrix, rank=10).mse
+        err5 = entry_mse(low_rank_fit(matrix, rank=5).reconstruct(), matrix)
+        err10 = entry_mse(low_rank_fit(matrix, rank=10).reconstruct(), matrix)
         assert err10 < err5
         assert err5 <= 1.25 * svd_optimal_mse(matrix, 5) + 1e-12
         assert err10 <= 1.25 * svd_optimal_mse(matrix, 10) + 1e-12
@@ -209,11 +213,11 @@ class TestPretrainedCodes:
         rng = np.random.default_rng(16)
         matrix = rng.normal(size=(30, 6))
         cfg = TrainConfig(epochs=0, batch_size=16)
-        result = pretrained_codes(matrix, 4, 3, cfg=cfg)
         code_cfg = CodeConfig(
             vocab_size=30, alphabet_size=4, code_length=3, code_embed_dim=6,
             allow_lossy=True,
         )
+        result = fit(ReconstructionTask(matrix), code_cfg, ComposerKind.LINEAR, cfg)
         fresh = Trainer(ReconstructionTask(matrix), code_cfg, ComposerKind.LINEAR, cfg)
         assert np.array_equal(result.table.codes, fresh.current_table().codes)
         assert result.history == []
@@ -224,7 +228,11 @@ class TestPretrainedCodes:
             60, 8, 4, rng, center_scale=3.0, spread=0.05
         )
         cfg = TrainConfig(epochs=40, batch_size=32, learning_rate=0.02)
-        table = pretrained_codes(matrix, 4, 2, cfg=cfg).table
+        code_cfg = CodeConfig(
+            vocab_size=60, alphabet_size=4, code_length=2, code_embed_dim=8,
+            allow_lossy=True,
+        )
+        table = fit(ReconstructionTask(matrix), code_cfg, ComposerKind.LINEAR, cfg).table
         same = labels[:, None] == labels[None, :]
         hamming = (table.codes[:, None, :] != table.codes[None, :, :]).sum(axis=2)
         off_diag = ~np.eye(60, dtype=bool)
@@ -242,7 +250,7 @@ class TestEvaluateWrappers:
     def test_full_is_lossless_reference(self):
         matrix = np.random.default_rng(18).normal(size=(40, 10))
         result = evaluate_full(matrix)
-        assert result.mse == 0.0
+        assert np.array_equal(result.reconstruction, matrix)
         assert stored_bits(result) == 32 * 40 * 10
         assert result.method == "full"
 
@@ -251,7 +259,7 @@ class TestEvaluateWrappers:
         result = evaluate_low_rank(matrix, rank=3)
         assert result.method == "lowrank(r=3)"
         assert stored_bits(result) == low_rank_bits(20, 10, 3)
-        assert result.mse > 0
+        assert entry_mse(result.reconstruction, matrix) > 0
 
     def test_pq_tag_and_bits(self):
         matrix = np.random.default_rng(20).normal(size=(30, 8))
@@ -265,9 +273,7 @@ class TestEvaluateWrappers:
         result = evaluate_scalar(matrix, bits=8)
         assert result.method == "scalar(8bit)"
         assert stored_bits(result) == scalar_bits(30, 8, 8)
-        assert result.mse == pytest.approx(
-            ((scalar_quantize(matrix, 8).quantized - matrix) ** 2).mean()
-        )
+        assert np.array_equal(result.reconstruction, scalar_quantize(matrix, 8).quantized)
 
     def test_params_counts_are_stored_values(self):
         matrix = np.random.default_rng(22).normal(size=(16, 6))

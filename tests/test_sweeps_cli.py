@@ -8,6 +8,13 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from codepress.baselines import (
+    evaluate_full,
+    evaluate_low_rank,
+    evaluate_pq,
+    evaluate_scalar,
+    random_codes,
+)
 from codepress.cli import main
 from codepress.codes import CodeConfig, CodeTable, load_code_table, save_code_table
 from codepress.composer import DEFAULT_HIDDEN_WIDTH, load_codebook
@@ -19,7 +26,7 @@ from codepress.configfile import (
     describe_defaults,
     parse_config,
 )
-from codepress.datasets import clustered_embeddings, make_vocab, save_embeddings
+from codepress.datasets import clustered_embeddings, load_embeddings, make_vocab, save_embeddings
 from codepress.guidance import GuidanceConfig
 from codepress.reporting import load_reports
 from codepress.sweeps import (
@@ -31,7 +38,8 @@ from codepress.sweeps import (
     run_one,
     sweep,
 )
-from codepress.training import TempSchedule, TrainConfig
+from codepress.tasks import ReconstructionTask
+from codepress.training import TempSchedule, TrainConfig, fit
 
 
 def config(**values) -> dict:
@@ -335,6 +343,24 @@ class TestCli:
         for artifact in ("codes.txt", "codebook.bin"):
             assert (outs[2] / artifact).read_bytes() == (outs[0] / artifact).read_bytes()
 
+    def test_a_validation_loss_that_overflows_aborts_its_epoch(self, tmp_path, capsys):
+        # with no projection the first step completes and validation overflows
+        # in plain numpy to inf: that epoch aborts, not the next one
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("learning_rate = 1e300\nvocab_size = 50\nepochs = 3\ndigit_dim = 32\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["fit-codes", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "fit-codes: aborted in epoch 1 on a non-finite value; kept the checkpoint of epoch 0"]
+
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        lines = (tmp_path / "out" / "metrics.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=no_constant) for line in lines]
+        assert [(r["step"], r["val_metric"], r["aborted"]) for r in records] == [(1, None, True)]
+
     def test_eval_against_saved_artifacts(self, workdir, capsys):
         out = workdir / "run"
         main(["fit-codes", str(workdir / "run.cfg"), "--out-dir", str(out)])
@@ -406,6 +432,45 @@ class TestCli:
         ]:
             assert main(argv) == 0, argv
             assert expect in capsys.readouterr().out
+
+    def test_baseline_scores_every_method_through_the_reconstruction_task(self, workdir,
+                                                                          capsys):
+        targets, _ = clustered_embeddings(30, 6, 3, np.random.default_rng(0))
+        emb = workdir / "emb.txt"
+        save_embeddings(emb, make_vocab(30), targets)
+        symbols, targets = load_embeddings(emb)  # the rows as the command reads them
+        task = ReconstructionTask(targets)
+        code_cfg = CodeConfig(30, 4, 2, 6, allow_lossy=True)
+        train_cfg = TrainConfig(epochs=1, seed=0)
+        code_args = ["--alphabet", "4", "--length", "2", "--epochs", "1"]
+        methods = {
+            "full": ([], evaluate_full(targets).reconstruction),
+            "lowrank": (["--rank", "2"], evaluate_low_rank(targets, 2).reconstruction),
+            "pq": (["--subspaces", "2", "--centroids", "4"],
+                   evaluate_pq(targets, 2, 4, np.random.default_rng(0)).reconstruction),
+            "scalar": (["--bits", "4"], evaluate_scalar(targets, 4).reconstruction),
+            "random": (code_args, fit(task, code_cfg, "linear-sum", train_cfg,
+                                      frozen_table=random_codes(30, 4, 2, 0, symbols=symbols),
+                                      symbols=symbols).embedding_matrix()),
+            "pretrained": (code_args, fit(task, code_cfg, "linear-sum", train_cfg,
+                                          symbols=symbols).embedding_matrix()),
+        }
+        reports = {}
+        for method, (args, rows) in methods.items():
+            out = workdir / f"{method}.jsonl"
+            argv = ["baseline", method, "--embeddings", str(emb), "--k", "5", "--out", str(out)]
+            assert main(argv + args) == 0, method
+            [report] = load_reports(out)
+            expected = task.evaluate(lambda ids: rows[ids])
+            assert report.reconstruction_mse == expected["reconstruction_mse"], method
+            assert report.metrics == expected, method
+            assert report.nn_overlap is not None, method
+            reports[method] = report
+        capsys.readouterr()
+        assert reports["full"].reconstruction_mse == 0.0
+        # the mean over symbols of the squared row error: d times the per-entry mean
+        per_entry = ((evaluate_low_rank(targets, 2).reconstruction - targets) ** 2).mean()
+        assert reports["lowrank"].reconstruction_mse == pytest.approx(6 * per_entry, rel=1e-12)
 
     def test_sweep_command_writes_reports(self, workdir, capsys):
         report_path = workdir / "sweep.jsonl"

@@ -349,6 +349,15 @@ class TestFit:
             assert np.array_equal(p.data, fresh.params[name].data), name
         assert result.best_val == fresh.validate()
 
+    def test_an_epoch_that_aborts_before_its_first_step_has_no_step_means(self):
+        # 2 steps per epoch: the 3rd step is the first of epoch 2
+        result = fit(NanAtStep(make_task(), 3), CODE4, ComposerKind.LINEAR, tiny_cfg(epochs=3))
+        first, aborted = result.history
+        assert not first["aborted"] and aborted["aborted"]
+        for key in ("task_loss", "entropy", "guidance_loss"):
+            assert isinstance(first[key], float), key
+            assert aborted[key] is None, key
+
     def test_straight_through_equals_hard_table_evaluation(self):
         task = make_task(seed=5)
         tr = Trainer(task, CODE4, ComposerKind.HIDDEN, tiny_cfg(epochs=3))
