@@ -59,7 +59,7 @@ def cmd_fit_codes(args) -> int:
         f"fit-codes: vocab={result.table.vocab_size} "
         f"K={result.table.alphabet_size} D={result.table.code_length} "
         f"best_val={result.best_val:.6f} "
-        f"reconstruction_mse={report.reconstruction_mse:.6f} -> {out}"
+        f"reconstruction_mse={report.metrics['reconstruction_mse']:.6f} -> {out}"
     )
     if result.aborted:
         print(f"fit-codes: aborted in epoch {len(result.history)} on a non-finite value; "
@@ -89,36 +89,35 @@ def _load_table_embeddings(path, table: CodeTable) -> np.ndarray:
     return matrix
 
 
+def _emit_scored(method: str, config: dict, targets: np.ndarray, rows: np.ndarray,
+                 args, start: float) -> int:
+    """Score ``rows`` through the reconstruction task of ``targets``, add the
+    neighborhood overlap when ``--k`` is positive, and emit one report."""
+    metrics = ReconstructionTask(targets).evaluate(lambda ids: rows[ids])
+    if args.k > 0:
+        metrics["nn_overlap"] = nn_overlap(targets, rows, args.k)
+    report = build_report(method, config, metrics, wall_time_s=time.perf_counter() - start)
+    return _emit([report], args.out)
+
+
 def cmd_eval(args) -> int:
     start = time.perf_counter()
     table = load_code_table(args.codes)
     book = load_codebook(args.codebook)
+    if table.code_length != book.code_length or table.alphabet_size != book.alphabet_size:
+        raise ValueError(
+            f"{args.codes} has K={table.alphabet_size} D={table.code_length}, but "
+            f"{args.codebook} has K={book.alphabet_size} D={book.code_length}")
     targets = _load_table_embeddings(args.embeddings, table)
-    task = ReconstructionTask(targets)
-
-    def embed_rows(ids):
-        return compose_digits(table.codes[np.asarray(ids, dtype=np.int64)], book).data
-
-    scores = task.evaluate(embed_rows)
-    overlap = None
-    if args.k > 0:
-        overlap = nn_overlap(targets, embed_rows(np.arange(table.vocab_size)), args.k)
-    report = build_report(
-        method=f"kd({book.kind.value})",
-        config={**kd_config(table, book, targets.shape[1]), "composer": book.kind.value},
-        metrics=scores,
-        reconstruction_mse=scores["reconstruction_mse"],
-        nn_overlap=overlap,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return _emit([report], args.out)
+    rows = compose_digits(table.codes, book).data
+    return _emit_scored(f"kd({book.kind.value})", kd_config(table, book, targets.shape[1]),
+                        targets, rows, args, start)
 
 
 def cmd_baseline(args) -> int:
     """Every method yields its rows, scored through the reconstruction task."""
     start = time.perf_counter()
     symbols, targets = load_embeddings(args.embeddings)
-    task = ReconstructionTask(targets)
     if args.method == "full":
         method, rows, config = evaluate_full(targets)
     elif args.method == "lowrank":
@@ -133,21 +132,13 @@ def cmd_baseline(args) -> int:
         frozen = None
         if args.method == "random":
             frozen = random_codes(n, args.alphabet, args.length, args.seed, symbols=symbols)
-        result = fit(task, CodeConfig(n, args.alphabet, args.length, d, allow_lossy=True),
+        result = fit(ReconstructionTask(targets),
+                     CodeConfig(n, args.alphabet, args.length, d, allow_lossy=True),
                      "linear-sum", TrainConfig(epochs=args.epochs, seed=args.seed),
                      frozen_table=frozen, symbols=symbols)
         method, rows, config = (f"{args.method}-codes", result.embedding_matrix(),
                                 kd_config(result.table, result.book, d))
-    scores = task.evaluate(lambda ids: rows[ids])
-    report = build_report(
-        method=method,
-        config=config,
-        metrics=scores,
-        reconstruction_mse=scores["reconstruction_mse"],
-        nn_overlap=nn_overlap(targets, rows, args.k) if args.k > 0 else None,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return _emit([report], args.out)
+    return _emit_scored(method, config, targets, rows, args, start)
 
 
 def cmd_sweep(args) -> int:

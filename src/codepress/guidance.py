@@ -46,6 +46,8 @@ class GuidanceConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.ramp_fraction <= 1.0:
             raise ValueError("ramp_fraction must lie in [0, 1]")
+        if self.encoder_hidden < 1:
+            raise ValueError("encoder_hidden must be >= 1")
 
 
 @dataclass

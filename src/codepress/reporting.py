@@ -1,8 +1,11 @@
 """Run reports: one record per trained/evaluated configuration.
 
-Storage figures are always recomputed from the configuration echo through the
-accounting module — never copied from the caller — so a corrupted config and
-its report disagree loudly (``verify_accounting``).
+A report holds the method, its configuration echo, the storage figures the
+echo implies, every measured number once under ``metrics`` (reconstruction
+error, neighborhood overlap, accuracies), and the wall time.  Storage figures
+are always recomputed from the configuration echo through the accounting
+module — never copied from the caller — so a corrupted config and its report
+disagree loudly (``verify_accounting``).
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ class RunReport:
     bits: int
     compression_ratio: float  # dense float32 bits / this method's bits
     metrics: dict = field(default_factory=dict)
-    reconstruction_mse: float | None = None
-    nn_overlap: float | None = None
     wall_time_s: float | None = None
 
 
@@ -75,6 +76,7 @@ def kd_config(table, book, embed_dim: int) -> dict:
         "code_length": table.code_length,
         "digit_dim": book.digit_dim,
         "extra_params": book.extra_param_count(),
+        "composer": book.kind.value,
     }
 
 
@@ -82,8 +84,6 @@ def build_report(
     method: str,
     config: dict,
     metrics: dict | None = None,
-    reconstruction_mse: float | None = None,
-    nn_overlap: float | None = None,
     wall_time_s: float | None = None,
 ) -> RunReport:
     params, bits, ratio = accounting_for(config)
@@ -94,8 +94,6 @@ def build_report(
         bits=bits,
         compression_ratio=ratio,
         metrics=dict(metrics or {}),
-        reconstruction_mse=reconstruction_mse,
-        nn_overlap=nn_overlap,
         wall_time_s=wall_time_s,
     )
 
@@ -131,8 +129,6 @@ _FIELD_TYPES = {
     "params_count": (int,),
     "bits": (int,),
     "compression_ratio": (int, float),
-    "reconstruction_mse": (int, float, type(None)),
-    "nn_overlap": (int, float, type(None)),
     "wall_time_s": (int, float, type(None)),
 }
 
@@ -182,7 +178,7 @@ def text_table(reports: list[RunReport]) -> str:
     if not reports:
         raise ValueError("no reports to render")
     metric_keys = sorted({k for r in reports for k in r.metrics})
-    header = ["method", "params", "bits", "ratio", "recon_mse", "nn_overlap", *metric_keys]
+    header = ["method", "params", "bits", "ratio", *metric_keys]
     rows = [header]
     for r in reports:
         # a failed run (its echo carries the error) has no storage to show
@@ -192,8 +188,6 @@ def text_table(reports: list[RunReport]) -> str:
             _fmt(None if failed else r.params_count, "int"),
             _fmt(None if failed else r.bits, "int"),
             _fmt(None if failed else r.compression_ratio, "ratio"),
-            _fmt(r.reconstruction_mse, "float"),
-            _fmt(r.nn_overlap, "float"),
         ]
         row.extend(_fmt(r.metrics.get(k), "float") for k in metric_keys)
         rows.append(row)

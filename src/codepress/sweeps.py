@@ -72,16 +72,10 @@ def run_one(settings: dict, **overrides) -> tuple[RunReport, FitResult]:
         pretrained=targets if train_cfg.guidance.mode == "pdg" else None,
         symbols=symbols,
     )
-    scores = result.evaluate()
     report = build_report(
         method=f"kd({settings['composer']})",
-        config={
-            **kd_config(result.table, result.book, task.embed_dim),
-            "composer": settings["composer"],
-            "seed": settings["seed"],
-        },
-        metrics={"val_loss": result.best_val, **scores},
-        reconstruction_mse=scores.get("reconstruction_mse"),
+        config={**kd_config(result.table, result.book, task.embed_dim), "seed": settings["seed"]},
+        metrics=result.evaluate(),
         wall_time_s=time.perf_counter() - start,
     )
     return report, result

@@ -57,8 +57,9 @@ class ReconstructionTask:
 
     def __init__(self, targets: np.ndarray, val_fraction: float = 0.0, split_seed: int = 0):
         self.targets = np.asarray(targets, dtype=np.float64)
-        if self.targets.ndim != 2:
-            raise ValueError(f"targets must be (vocab, dim), got {self.targets.shape}")
+        if self.targets.ndim != 2 or 0 in self.targets.shape:
+            raise ValueError(f"targets must be a non-empty (vocab, dim) matrix, "
+                             f"got shape {self.targets.shape}")
         self.vocab_size, self.embed_dim = self.targets.shape
         split_rng = np.random.default_rng(split_seed)
         self.train_ids, self.val_ids = split_indices(self.vocab_size, val_fraction, split_rng)
@@ -89,11 +90,11 @@ class ReconstructionTask:
         return self._mse(embed_rows, ids)
 
     def evaluate(self, embed_rows: EmbedRows) -> dict[str, float]:
-        all_ids = np.arange(self.vocab_size)
-        return {
-            "reconstruction_mse": self._mse(embed_rows, all_ids),
-            "val_mse": self._mse(embed_rows, self.val_ids if self.val_ids.size else all_ids),
-        }
+        """Error over every row, and over the held-out rows; with none held
+        out the two are one pass over the vocabulary."""
+        mse = self._mse(embed_rows, np.arange(self.vocab_size))
+        val_mse = self._mse(embed_rows, self.val_ids) if self.val_ids.size else mse
+        return {"reconstruction_mse": mse, "val_mse": val_mse}
 
 
 def _averaging_matrix(docs: list[np.ndarray], symbols: np.ndarray) -> np.ndarray:

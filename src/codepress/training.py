@@ -114,6 +114,8 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.entropy_weight < 0 or not 0 <= self.entropy_ramp_fraction <= 1:
             raise ValueError("invalid entropy settings")
+        if self.grad_clip < 0:
+            raise ValueError("grad_clip must be >= 0 (0 disables clipping)")
 
 
 class Sgd:

@@ -187,6 +187,7 @@ class TestReportFileErrors:
         ("bits", True),
         ("compression_ratio", "1.5"),
         ("compression_ratio", None),
+        # no longer report fields: a record carrying them at top level is rejected
         ("reconstruction_mse", "0.1"),
         ("nn_overlap", [0.5]),
         ("wall_time_s", False),
@@ -201,15 +202,29 @@ class TestReportFileErrors:
         with pytest.raises(ValueError, match=names(path, 2) + f".*'{field}'"):
             load_reports(path)
 
+    def test_old_format_record_names_line(self, tmp_path):
+        # reports once kept the reconstruction error and the neighborhood
+        # overlap at top level; such a record is rejected, not half read
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0)])
+        good = path.read_text().strip()
+        for field in ("reconstruction_mse", "nn_overlap"):
+            record = json.loads(good)
+            record[field] = 0.5
+            path.write_text(good + "\n" + json.dumps(record) + "\n")
+            with pytest.raises(ValueError, match=names(path, 2) + f".*'{field}'"):
+                load_reports(path)
+
     def test_numbers_and_nulls_load(self, tmp_path):
         path = tmp_path / "reports.jsonl"
         save_reports(path, [report(0)])
         record = json.loads(path.read_text())
-        record.update(compression_ratio=2, reconstruction_mse=0, nn_overlap=None,
-                      wall_time_s=1.25)
+        record.update(compression_ratio=2, wall_time_s=1.25)
+        record["metrics"].update(reconstruction_mse=0, nn_overlap=None)
         path.write_text(json.dumps(record) + "\n")
         (loaded,) = load_reports(path)
         assert loaded.compression_ratio == 2 and loaded.wall_time_s == 1.25
+        assert loaded.metrics["reconstruction_mse"] == 0 and loaded.metrics["nn_overlap"] is None
 
 
 def report(seed: int) -> RunReport:

@@ -169,6 +169,7 @@ class TestAccountingEcho:
         assert config == {
             "family": "kd", "vocab_size": 12, "embed_dim": 7, "alphabet_size": 4,
             "code_length": 3, "digit_dim": 5, "extra_params": book.extra_param_count(),
+            "composer": "linear-hidden",
         }
         params = accounting_for(config)[0]
         assert params == sum(t.data.size for t in book.parameters().values())
@@ -209,15 +210,15 @@ class TestReports:
         reports = [
             build_report(
                 "kd", KD_CONFIG,
-                metrics={"val_mse": 0.1234567890123456789, "nn": 1 / 3},
-                reconstruction_mse=2.0**-37,
+                metrics={"val_mse": 0.1234567890123456789, "nn": 1 / 3,
+                         "reconstruction_mse": 2.0**-37},
                 wall_time_s=1.5,
             ),
             build_report(
                 "scalar(8bit)",
                 {"family": "scalar", "vocab_size": 100, "embed_dim": 8,
                  "bits_per_value": 8},
-                nn_overlap=0.25,
+                metrics={"nn_overlap": 0.25},
             ),
         ]
         path = tmp_path / "reports.jsonl"
@@ -225,7 +226,8 @@ class TestReports:
         loaded = load_reports(path)
         assert loaded == reports
         assert loaded[0].metrics["val_mse"] == reports[0].metrics["val_mse"]
-        assert loaded[0].reconstruction_mse == 2.0**-37
+        assert loaded[0].metrics["reconstruction_mse"] == 2.0**-37
+        assert loaded[1].metrics["nn_overlap"] == 0.25
 
     def test_jsonl_is_line_delimited(self, tmp_path):
         path = tmp_path / "reports.jsonl"
@@ -243,11 +245,12 @@ class TestTextTable:
             "full",
             {"family": "full", "vocab_size": 10_000, "embed_dim": 200},
         )
-        kd = build_report("kd", KD_CONFIG, reconstruction_mse=0.125,
-                          metrics={"val_mse": 0.25})
+        kd = build_report("kd", KD_CONFIG, metrics={"reconstruction_mse": 0.125,
+                                                    "val_mse": 0.25})
         table = text_table([full, kd])
         assert "64,000,000" in table
-        assert MISSING in table  # full run has no reconstruction mse
+        full_row = table.split("\n")[2].split()
+        assert full_row[4:] == [MISSING] * 2  # full run has no reconstruction mse
         assert "1.00x" in table
         assert "0.1250" in table
 

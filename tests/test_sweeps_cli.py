@@ -230,7 +230,8 @@ class TestSweeps:
         assert report.config["family"] == "kd"
         assert report.config["seed"] == 123
         assert report.config["extra_params"] == result.book.extra_param_count()
-        assert report.metrics["val_loss"] == result.best_val
+        # the best validation loss is the restored checkpoint's val_mse
+        assert report.metrics["val_mse"] == result.best_val
 
     def test_sweep_reports_carry_wall_time(self):
         [report] = sweep("alphabet_size", [4], sweep_settings())
@@ -380,7 +381,7 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "kd(linear-sum)" in printed
         [report] = load_reports(report_path)
-        assert report.nn_overlap is not None
+        assert report.metrics["nn_overlap"] is not None
         assert report.config["family"] == "kd"
 
     def fitted_with_embeddings(self, workdir, symbols_of):
@@ -404,6 +405,42 @@ class TestCli:
                      "--codebook", str(out / "codebook.bin"), "--embeddings", str(emb)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {emb}: row 1 is 'tok01'")
+
+    def test_eval_rejects_a_codebook_of_another_alphabet(self, workdir, capsys):
+        out, emb = self.fitted_with_embeddings(workdir, lambda symbols: symbols)
+        wide = workdir / "k8.cfg"
+        wide.write_text((workdir / "run.cfg").read_text().replace(
+            "alphabet_size = 4", "alphabet_size = 8"))
+        assert main(["fit-codes", str(wide), "--out-dir", str(workdir / "k8")]) == 0
+        capsys.readouterr()
+        codes, book = out / "codes.txt", workdir / "k8" / "codebook.bin"
+        code = main(["eval", "--codes", str(codes), "--codebook", str(book),
+                     "--embeddings", str(emb)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {codes} has K=4 D=3, but {book} has K=8 D=3\n")
+
+    def test_report_records_keep_every_measurement_once_in_metrics(self, workdir, capsys):
+        out, emb = self.fitted_with_embeddings(workdir, lambda symbols: symbols)
+        scored = {"nn_overlap", "reconstruction_mse", "val_mse"}
+        runs = {
+            "eval": (["eval", "--codes", str(out / "codes.txt"), "--codebook",
+                      str(out / "codebook.bin"), "--embeddings", str(emb), "--k", "5"], scored),
+            "baseline": (["baseline", "random", "--embeddings", str(emb), "--alphabet", "4",
+                          "--length", "3", "--epochs", "1", "--k", "5"], scored),
+            "sweep": (["sweep", str(workdir / "run.cfg"), "--axis", "alphabet_size",
+                       "--values", "4"], {"reconstruction_mse", "val_mse"}),
+        }
+        capsys.readouterr()
+        for name, (argv, keys) in runs.items():
+            path = workdir / f"{name}.jsonl"
+            assert main([*argv, "--out", str(path)]) == 0, name
+            [record] = [json.loads(line) for line in path.read_text().splitlines()]
+            assert set(record) == {"method", "config", "params_count", "bits",
+                                   "compression_ratio", "metrics", "wall_time_s"}, name
+            assert set(record["metrics"]) == keys, name
+            header = capsys.readouterr().out.splitlines()[0].split()
+            assert header == ["method", "params", "bits", "ratio", *sorted(keys)], name
 
     def test_probe_codes_rejects_embeddings_of_other_tokens(self, workdir, capsys):
         # as many rows as the code table has symbols, under other tokens
@@ -462,15 +499,16 @@ class TestCli:
             assert main(argv + args) == 0, method
             [report] = load_reports(out)
             expected = task.evaluate(lambda ids: rows[ids])
-            assert report.reconstruction_mse == expected["reconstruction_mse"], method
+            overlap = report.metrics.pop("nn_overlap")
             assert report.metrics == expected, method
-            assert report.nn_overlap is not None, method
+            assert overlap is not None, method
             reports[method] = report
         capsys.readouterr()
-        assert reports["full"].reconstruction_mse == 0.0
+        assert reports["full"].metrics["reconstruction_mse"] == 0.0
         # the mean over symbols of the squared row error: d times the per-entry mean
         per_entry = ((evaluate_low_rank(targets, 2).reconstruction - targets) ** 2).mean()
-        assert reports["lowrank"].reconstruction_mse == pytest.approx(6 * per_entry, rel=1e-12)
+        lowrank = reports["lowrank"].metrics["reconstruction_mse"]
+        assert lowrank == pytest.approx(6 * per_entry, rel=1e-12)
 
     def test_sweep_command_writes_reports(self, workdir, capsys):
         report_path = workdir / "sweep.jsonl"
@@ -555,3 +593,18 @@ class TestCli:
         bad.write_text("alphabet_size = -3\n")
         assert main(["fit-codes", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("guidance_mode = pdg\nencoder_hidden = 0", "encoder_hidden must be >= 1"),
+        ("grad_clip = -1", "grad_clip must be >= 0"),
+        ("embed_dim = 0", "targets must be a non-empty (vocab, dim) matrix, got shape (50, 0)"),
+    ], ids=["pdg-without-encoder-units", "negative-grad-clip", "zero-width-targets"])
+    def test_fit_codes_rejects_a_setting_it_cannot_train(self, workdir, capsys,
+                                                         setting, message):
+        cfg = workdir / "bad.cfg"
+        cfg.write_text(f"vocab_size = 50\nepochs = 1\n{setting}\n")
+        out = workdir / "out"
+        assert main(["fit-codes", str(cfg), "--out-dir", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {message}")
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Synthetic data generators, embedding file IO, and training tasks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -209,8 +211,32 @@ class TestReconstructionTask:
         assert all(b.symbols.size <= 5 for b in batches)
 
     def test_rejects_non_matrix_targets(self):
-        with pytest.raises(ValueError, match="vocab"):
-            ReconstructionTask(np.zeros(5))
+        for shape in [(5,), (0, 4), (5, 0)]:  # no matrix, no rows, no columns
+            with pytest.raises(ValueError, match=r"vocab.*" + re.escape(str(shape))):
+                ReconstructionTask(np.zeros(shape))
+
+    @pytest.mark.parametrize("val_fraction, passes", [(0.0, 1), (0.25, 2)])
+    def test_evaluate_composes_the_vocabulary_once_without_held_out_rows(
+            self, val_fraction, passes):
+        rng = np.random.default_rng(14)
+        targets, rows = rng.normal(size=(12, 4)), rng.normal(size=(12, 4))
+        task = ReconstructionTask(targets, val_fraction=val_fraction)
+        asked = []
+
+        def embed_rows(ids):
+            asked.append(np.copy(ids))
+            return rows[ids]
+
+        scores = task.evaluate(embed_rows)
+        assert len(asked) == passes
+        assert np.array_equal(asked[0], np.arange(12))
+
+        def mse(ids):  # one pass of the error over ``ids``
+            diff = rows[ids] - targets[ids]
+            return float((diff * diff).sum() / ids.size)
+
+        val_ids = task.val_ids if task.val_ids.size else np.arange(12)
+        assert scores == {"reconstruction_mse": mse(np.arange(12)), "val_mse": mse(val_ids)}
 
 
 class TestAveragingMatrix:
