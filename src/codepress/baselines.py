@@ -51,6 +51,9 @@ def low_rank_fit(matrix: np.ndarray, rank: int) -> LowRankFactors:
 
 # -- k-means and product quantization ------------------------------------------
 
+_KMEANS_MAX_ITER = 25  # Lloyd rounds at most
+_KMEANS_TOL = 1e-6  # stop once a round improves the inertia by less than this share
+
 
 @dataclass
 class KMeansResult:
@@ -87,16 +90,11 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float
     return assign, inertia
 
 
-def lloyd_kmeans(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iter: int = 25,
-    tol: float = 1e-6,
-) -> KMeansResult:
+def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
     """Lloyd iterations from a k-means++ start; inertia never increases.
 
-    Stops on relative improvement below ``tol`` or after ``max_iter`` rounds.
+    Stops on relative improvement below ``_KMEANS_TOL`` or after
+    ``_KMEANS_MAX_ITER`` rounds.
     Clusters that lose all members keep their previous center.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -107,10 +105,10 @@ def lloyd_kmeans(
     history: list[float] = []
     prev = float("inf")
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         assign, inertia = _nearest(points, centers)
         history.append(inertia)
-        if prev - inertia <= tol * max(prev, 1e-12):
+        if prev - inertia <= _KMEANS_TOL * max(prev, 1e-12):
             break
         prev = inertia
         for c in range(k):
@@ -144,12 +142,7 @@ class PQResult:
 
 
 def product_quantize(
-    matrix: np.ndarray,
-    subspaces: int,
-    n_centroids: int,
-    rng: np.random.Generator,
-    max_iter: int = 25,
-    tol: float = 1e-6,
+    matrix: np.ndarray, subspaces: int, n_centroids: int, rng: np.random.Generator
 ) -> PQResult:
     """Split columns into contiguous blocks and k-means-quantize each block."""
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -162,7 +155,7 @@ def product_quantize(
     centroids, assigns = [], []
     for j in range(subspaces):
         block = matrix[:, j * width : (j + 1) * width]
-        km = lloyd_kmeans(block, n_centroids, rng, max_iter=max_iter, tol=tol)
+        km = lloyd_kmeans(block, n_centroids, rng)
         centroids.append(km.centroids)
         assigns.append(km.assignments)
     return PQResult(

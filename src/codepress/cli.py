@@ -89,6 +89,11 @@ def _load_table_embeddings(path, table: CodeTable) -> np.ndarray:
     return matrix
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"--k must be >= 0 (0 skips the neighborhood overlap), got {k}")
+
+
 def _emit_scored(method: str, config: dict, targets: np.ndarray, rows: np.ndarray,
                  args, start: float) -> int:
     """Score ``rows`` through the reconstruction task of ``targets``, add the
@@ -102,6 +107,7 @@ def _emit_scored(method: str, config: dict, targets: np.ndarray, rows: np.ndarra
 
 def cmd_eval(args) -> int:
     start = time.perf_counter()
+    _check_k(args.k)
     table = load_code_table(args.codes)
     book = load_codebook(args.codebook)
     if table.code_length != book.code_length or table.alphabet_size != book.alphabet_size:
@@ -117,6 +123,7 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     """Every method yields its rows, scored through the reconstruction task."""
     start = time.perf_counter()
+    _check_k(args.k)
     symbols, targets = load_embeddings(args.embeddings)
     if args.method == "full":
         method, rows, config = evaluate_full(targets)
@@ -169,11 +176,13 @@ def cmd_probe_codes(args) -> int:
         matrix = _load_table_embeddings(args.embeddings, table)
         probe = code_semantics_probe(table, matrix, np.random.default_rng(args.seed))
         if probe.available:
-            print(
-                f"intra-code cosine {probe.intra_mean:.4f} over {probe.intra_pairs} pairs; "
-                f"global {probe.global_mean:.4f} +/- {probe.global_se:.4f} "
-                f"({probe.excess_in_se_units:.1f} se above global)"
-            )
+            head = (f"intra-code cosine {probe.intra_mean:.4f} over {probe.intra_pairs} pairs; "
+                    f"global {probe.global_mean:.4f}")
+            if probe.global_se > 0:
+                print(f"{head} +/- {probe.global_se:.4f} "
+                      f"({probe.excess_in_se_units:.1f} se above global)")
+            else:  # every random pair alike: no se to measure the excess in
+                print(f"{head} over {probe.global_pairs} random pairs, which have zero spread")
         else:
             print("code semantics probe: N/A (no colliding codes)")
     return 0

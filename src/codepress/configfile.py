@@ -69,7 +69,6 @@ DEFAULTS: dict[str, _Key] = {
         "use_straight_through", "discretize forward passes during training"
     ),
     # temperature schedule
-    "schedule_kind": _schedule("kind", "constant | exponential"),
     "tau_init": _schedule("tau_init", "starting softmax temperature"),
     "tau_min": _schedule("tau_min", "final softmax temperature"),
     "tau_horizon": _schedule("horizon", "step reaching tau_min; 0 -> half the total steps"),
@@ -87,9 +86,6 @@ DEFAULTS: dict[str, _Key] = {
     "autoencoder": _guidance("autoencoder", "pdg: include the autoencoder term"),
     "guidance_ramp_fraction": _guidance(
         "ramp_fraction", "odg: fraction of steps to ramp match_weight in"
-    ),
-    "mask_per_symbol": _guidance(
-        "mask_per_symbol", "odg: one mask scalar per symbol instead of per coordinate"
     ),
     "encoder_hidden": _guidance("encoder_hidden", "pdg: encoder hidden width"),
 }

@@ -4,8 +4,8 @@ Two flavors:
 
 * Online guidance ("odg"): a continuous embedding table u is trained jointly;
   the training-time embedding is a Bernoulli mix of u and the composed f(c),
-  plus a match penalty ||stop_gradient(u) - f(c)||^2.  Inference always uses
-  f(c).
+  with one mask draw per coordinate, plus a match penalty
+  ||stop_gradient(u) - f(c)||^2.  Inference always uses f(c).
 * Pretrained guidance ("pdg"): a fixed embedding matrix U is distilled into
   the codes via an autoencoder over U (encoder g shared-decoder f) and a
   distillation term pulling code logits toward g(U) and compositions toward U.
@@ -33,7 +33,6 @@ class GuidanceConfig:
     logit_weight: float = 1.0  # pdg weight on ||code logits - g(u)||^2
     autoencoder: bool = True  # include the pdg autoencoder term
     ramp_fraction: float = 0.2  # fraction of steps over which match_weight ramps in
-    mask_per_symbol: bool = False  # one mask scalar per symbol instead of per coordinate
     encoder_hidden: int = 256
 
     def __post_init__(self):
@@ -99,17 +98,9 @@ def init_encoder(
     )
 
 
-def draw_mix_mask(
-    shape: tuple[int, int],
-    keep_prob: float,
-    rng: np.random.Generator,
-    per_symbol: bool = False,
-) -> np.ndarray:
-    """Fresh Bernoulli(keep_prob) mask, per coordinate or per symbol row."""
+def draw_mix_mask(shape: tuple[int, int], keep_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Fresh (batch, dim) mask, each coordinate 1 with probability keep_prob."""
     batch, dim = shape
-    if per_symbol:
-        col = (rng.random((batch, 1)) < keep_prob).astype(np.float64)
-        return np.repeat(col, dim, axis=1)
     return (rng.random((batch, dim)) < keep_prob).astype(np.float64)
 
 

@@ -120,24 +120,25 @@ ABLATION_ORDER = (
     "pdg_full",  # + autoencoder term
 )
 
-_SCHEDULE_KEYS = ("schedule_kind", "tau_init", "tau_min", "tau_horizon")
+_SCHEDULE_KEYS = ("tau_init", "tau_min", "tau_horizon")
 
 
 def ablation_variants(settings: dict) -> list[tuple[str, dict]]:
     """The cumulative trick ladder over a parsed config: each rung's config
     overrides, which add one trick to the rung before.
 
-    The schedule rung keeps the config's schedule if it decays and otherwise
-    takes the default one; the guidance rungs keep the config's pdg weights.
+    The first rung holds the temperature at ``tau_init`` by setting ``tau_min``
+    to it.  The schedule rung keeps the config's schedule if it decays
+    (``tau_min < tau_init``) and otherwise takes the default one; the guidance
+    rungs keep the config's pdg weights.
     """
-    if settings["schedule_kind"] == "exponential":
+    if settings["tau_min"] < settings["tau_init"]:
         decaying = {key: settings[key] for key in _SCHEDULE_KEYS}
     else:
         decaying = {key: DEFAULTS[key].default for key in _SCHEDULE_KEYS}
     steps = [
-        ("cr", {"use_straight_through": False, "schedule_kind": "constant",
-                "tau_min": settings["tau_init"], "entropy_weight": 0.0,
-                "guidance_mode": "none"}),
+        ("cr", {"use_straight_through": False, "tau_min": settings["tau_init"],
+                "entropy_weight": 0.0, "guidance_mode": "none"}),
         ("cr_ste", {"use_straight_through": True}),
         ("cr_ste_sched", decaying),
         ("cr_ste_sched_ent", {"entropy_weight": settings["entropy_weight"]}),

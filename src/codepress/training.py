@@ -56,23 +56,21 @@ from .guidance import (
     odg_mix,
 )
 
-SCHEDULE_KINDS = ("constant", "exponential")
 OPTIMIZER_KINDS = ("adam", "sgd")
 AUTO_HORIZON = 0  # sentinel: resolve to half the total steps at fit time
 
 
 @dataclass(frozen=True)
 class TempSchedule:
-    """Temperature as a function of the global step."""
+    """Temperature as a function of the global step: a geometric decay from
+    ``tau_init`` to ``tau_min`` over ``horizon`` steps, then ``tau_min``.
+    Equal taus give a constant temperature."""
 
-    kind: str = "exponential"
     tau_init: float = 1.0
     tau_min: float = 0.1
     horizon: int = AUTO_HORIZON  # step at which tau_min is reached
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}")
         if not self.tau_init >= self.tau_min > 0:
             raise ValueError("need tau_init >= tau_min > 0")
         if self.horizon < 0:
@@ -81,8 +79,6 @@ class TempSchedule:
     def temperature(self, step: int) -> float:
         if step < 0:
             raise ValueError("step must be >= 0")
-        if self.kind == "constant":
-            return self.tau_init
         if step >= self.horizon or self.tau_init == self.tau_min:
             return self.tau_min
         # geometric interpolation: tau_init * r^step with r = (tau_min/tau_init)^(1/horizon)
@@ -260,7 +256,7 @@ class Trainer:
         steps_per_epoch = max(1, math.ceil(n_train / cfg.batch_size))
         self.total_steps = max(1, cfg.epochs * steps_per_epoch)
         sched = cfg.schedule
-        if sched.kind == "exponential" and sched.horizon == AUTO_HORIZON:
+        if sched.horizon == AUTO_HORIZON:
             sched = replace(sched, horizon=max(1, self.total_steps // 2))
         self.schedule = sched
         self.entropy_ramp_steps = math.ceil(cfg.entropy_ramp_fraction * self.total_steps)
@@ -332,9 +328,7 @@ class Trainer:
 
         if g.mode == "odg":
             u_rows = rows["odg_u"] = Tensor(self.u_table.data[symbols], name="odg_u")
-            mask = draw_mix_mask(
-                (n_sym, self.task.embed_dim), g.keep_prob, self.rng, g.mask_per_symbol
-            )
+            mask = draw_mix_mask((n_sym, self.task.embed_dim), g.keep_prob, self.rng)
             task_input = odg_mix(u_rows, v, mask)
             lam = g.match_weight * _ramp(self.step, self.guidance_ramp_steps)
             penalty = ad.scale(odg_match_penalty(u_rows, v), 1.0 / n_sym)

@@ -34,7 +34,7 @@ class TestConfig:
         assert cfg.keep_prob == 0.7
         assert cfg.match_weight == cfg.embed_weight == cfg.logit_weight == 1.0
         assert cfg.ramp_fraction == 0.2
-        assert cfg.mask_per_symbol is False
+        assert cfg.autoencoder is True and cfg.encoder_hidden == 256
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="mode"):
@@ -79,12 +79,14 @@ class TestMixMask:
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert abs(mask.mean() - 0.7) < 0.01
 
-    def test_per_symbol_mask_is_constant_within_rows(self):
+    def test_mask_is_one_uniform_draw_per_coordinate(self):
+        # the trainer's rng stream: one (batch, dim) uniform draw per mask
         rng = np.random.default_rng(5)
-        mask = draw_mix_mask((300, 40), 0.5, rng, per_symbol=True)
-        assert np.array_equal(mask, np.repeat(mask[:, :1], 40, axis=1))
-        per_coord = draw_mix_mask((300, 40), 0.5, rng)
-        assert not np.array_equal(per_coord, np.repeat(per_coord[:, :1], 40, axis=1))
+        mask = draw_mix_mask((300, 40), 0.5, rng)
+        uniform = np.random.default_rng(5).random((300, 40))
+        assert np.array_equal(mask, (uniform < 0.5).astype(np.float64))
+        assert rng.random() == np.random.default_rng(5).random(300 * 40 + 1)[-1]
+        assert not np.array_equal(mask, np.repeat(mask[:, :1], 40, axis=1))
 
     def test_mix_jacobian_is_the_mask(self):
         rng = np.random.default_rng(6)

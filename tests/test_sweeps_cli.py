@@ -48,7 +48,14 @@ def config(**values) -> dict:
 
 
 # sha256 of describe_defaults(): the key table --help-config prints
-DEFAULTS_TABLE_SHA256 = "dad86d183f17027cc807f9b697026f92804976b870ccc60a53fd78197260733e"
+DEFAULTS_TABLE_SHA256 = "1cdbd9460839609d8edecb70f751cef8669e23187d9761c9ce95b091c9674ce1"
+# the table before schedule_kind and mask_per_symbol were removed, and their lines in it
+FORMER_DEFAULTS_TABLE_SHA256 = "dad86d183f17027cc807f9b697026f92804976b870ccc60a53fd78197260733e"
+REMOVED_DEFAULTS_LINES = (
+    (22, "schedule_kind            exponential  constant | exponential"),
+    (35, "mask_per_symbol                False  odg: one mask scalar per symbol instead of "
+         "per coordinate"),
+)
 
 # config key -> (the config it builds: "code" or "train", attribute, a non-default value)
 DATACLASS_KEYS = {
@@ -66,7 +73,6 @@ DATACLASS_KEYS = {
     "use_straight_through": ("train", "use_straight_through", False),
     "entropy_weight": ("train", "entropy_weight", 0.3),
     "entropy_ramp_fraction": ("train", "entropy_ramp_fraction", 0.4),
-    "schedule_kind": ("train", "schedule.kind", "constant"),
     "tau_init": ("train", "schedule.tau_init", 0.9),
     "tau_min": ("train", "schedule.tau_min", 0.3),
     "tau_horizon": ("train", "schedule.horizon", 17),
@@ -77,9 +83,15 @@ DATACLASS_KEYS = {
     "logit_weight": ("train", "guidance.logit_weight", 3.0),
     "autoencoder": ("train", "guidance.autoencoder", False),
     "guidance_ramp_fraction": ("train", "guidance.ramp_fraction", 0.5),
-    "mask_per_symbol": ("train", "guidance.mask_per_symbol", True),
     "encoder_hidden": ("train", "guidance.encoder_hidden", 12),
 }
+
+
+def temperatures(schedule: TempSchedule) -> list[float]:
+    """The temperature at step 0, at the horizon and at ten times the horizon,
+    an AUTO_HORIZON taken as the trainer resolves it for a 100-step fit."""
+    horizon = schedule.horizon or 50
+    return [schedule.temperature(step) for step in (0, horizon, 10 * horizon)]
 
 
 def built_configs(settings: dict) -> dict:
@@ -143,7 +155,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(
             "vocab_size = 30\nalphabet_size = 5\ncode_length = 2\ndigit_dim = 6\n"
-            "epochs = 7\nbatch_size = 9\noptimizer = sgd\nschedule_kind = constant\n"
+            "epochs = 7\nbatch_size = 9\noptimizer = sgd\n"
             "tau_init = 0.8\ntau_min = 0.8\nguidance_mode = odg\nkeep_prob = 0.6\n"
         )
         settings = parse_config(path)
@@ -153,13 +165,21 @@ class TestConfigFile:
         train = build_train_config(settings)
         assert train.epochs == 7 and train.batch_size == 9
         assert train.optimizer == "sgd"
-        assert train.schedule.kind == "constant"
+        assert train.schedule == TempSchedule(tau_init=0.8, tau_min=0.8)
+        assert temperatures(train.schedule) == [0.8] * 3
         guide = build_guidance_config(settings)
         assert guide.mode == "odg" and guide.keep_prob == 0.6
 
     def test_describe_defaults_is_unchanged(self):
         digest = hashlib.sha256(describe_defaults().encode()).hexdigest()
         assert digest == DEFAULTS_TABLE_SHA256
+        # the two removed keys' lines, put back where they stood, give the
+        # former table: no other line moved or changed
+        lines = describe_defaults().split("\n")
+        for lineno, line in REMOVED_DEFAULTS_LINES:
+            lines.insert(lineno - 1, line)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == FORMER_DEFAULTS_TABLE_SHA256
 
     def test_every_dataclass_key_sets_its_field(self):
         settings = config(**{key: value for key, (_, _, value) in DATACLASS_KEYS.items()})
@@ -252,13 +272,14 @@ class TestAblation:
         variants = rung_configs(config())
         cr = variants["cr"]
         assert not cr.use_straight_through
-        assert cr.schedule.kind == "constant"
+        assert temperatures(cr.schedule) == [cr.schedule.tau_init] * 3
         assert cr.entropy_weight == 0.0
         assert cr.guidance.mode == "none"
         ste = variants["cr_ste"]
-        assert ste.use_straight_through and ste.schedule.kind == "constant"
+        assert ste.use_straight_through
+        assert temperatures(ste.schedule) == [ste.schedule.tau_init] * 3
         sched = variants["cr_ste_sched"]
-        assert sched.schedule.kind == "exponential"
+        assert sched.schedule.tau_min < sched.schedule.tau_init
         assert sched.entropy_weight == 0.0
         ent = variants["cr_ste_sched_ent"]
         assert ent.entropy_weight > 0.0
@@ -272,8 +293,8 @@ class TestAblation:
         assert rung_configs(decaying)["cr_ste_sched"].schedule == TempSchedule(
             tau_init=2.0, tau_min=0.5, horizon=7)
         assert rung_configs(decaying)["cr"].schedule == TempSchedule(
-            kind="constant", tau_init=2.0, tau_min=2.0, horizon=7)
-        constant = config(schedule_kind="constant", tau_init=0.5, tau_min=0.5)
+            tau_init=2.0, tau_min=2.0, horizon=7)
+        constant = config(tau_init=0.5, tau_min=0.5)
         assert rung_configs(constant)["cr_ste_sched"].schedule == TempSchedule()
 
     def test_all_variants_share_the_base_seed(self):
@@ -451,6 +472,25 @@ class TestCli:
         assert code == 1
         assert f"error: {emb}: row 1 is 'w00'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_a_negative_k_is_rejected_before_any_work(self, workdir, capsys, command):
+        out, emb = self.fitted_with_embeddings(workdir, lambda symbols: symbols)
+        capsys.readouterr()
+        report_path = workdir / "report.jsonl"
+        argv = {
+            "eval": ["eval", "--codes", str(out / "codes.txt"),
+                     "--codebook", str(out / "codebook.bin")],
+            "baseline": ["baseline", "random", "--alphabet", "4", "--length", "3",
+                         "--epochs", "1"],
+        }[command]
+        assert main([*argv, "--embeddings", str(emb), "--k", "-3",
+                     "--out", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --k must be >= 0 (0 skips the neighborhood overlap), got -3"]
+        assert captured.out == ""
+        assert not report_path.exists()
+
     def test_baseline_subcommands(self, workdir, capsys):
         rng = np.random.default_rng(0)
         targets, _ = clustered_embeddings(30, 6, 3, rng)
@@ -580,6 +620,19 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines == groups + ([more] if more else [])
 
+    def test_probe_codes_reports_random_pairs_of_zero_spread(self, tmp_path, capsys):
+        # every row alike: each random pair has cosine 1 and the global se is 0
+        table = CodeTable(symbols=list("abcdef"), alphabet_size=2,
+                          codes=np.array([[0, 0], [0, 0], [0, 1], [1, 0], [1, 1], [1, 1]]))
+        save_code_table(table, tmp_path / "codes.txt")
+        save_embeddings(tmp_path / "emb.txt", list("abcdef"), np.ones((6, 3)))
+        assert main(["probe-codes", "--codes", str(tmp_path / "codes.txt"),
+                     "--collisions-only", "--embeddings", str(tmp_path / "emb.txt")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0-0: a b", "1-1: e f",
+            "intra-code cosine 1.0000 over 2 pairs; global 1.0000 over 50000 random pairs, "
+            "which have zero spread"]
+
     def test_help_config_lists_keys(self, capsys):
         assert main(["fit-codes", "--help-config"]) == 0
         printed = capsys.readouterr().out
@@ -607,4 +660,15 @@ class TestCli:
         assert main(["fit-codes", str(cfg), "--out-dir", str(out)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["schedule_kind = constant", "mask_per_symbol = false"])
+    def test_fit_codes_rejects_a_removed_key(self, workdir, capsys, setting):
+        # a constant temperature is tau_min = tau_init; the odg mask is always per coordinate
+        cfg = workdir / "old.cfg"
+        cfg.write_text(f"vocab_size = 50\nepochs = 1\n{setting}\n")
+        out = workdir / "out"
+        assert main(["fit-codes", str(cfg), "--out-dir", str(out)]) == 1
+        key = setting.split(" = ")[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:3: unknown key {key!r}"]
         assert not out.exists()

@@ -80,8 +80,15 @@ class TestTempSchedule:
         assert s.temperature(500) == pytest.approx(10.0 ** -0.5, rel=1e-12)
 
     def test_constant_kind_ignores_step(self):
-        s = TempSchedule(kind="constant", tau_init=0.7, tau_min=0.7)
+        # equal taus are the constant schedule, before and after the trainer
+        # resolves its AUTO_HORIZON to half the total steps
+        s = TempSchedule(tau_init=0.7, tau_min=0.7)
+        assert s.horizon == AUTO_HORIZON
         assert s.temperature(0) == s.temperature(10**6) == 0.7
+        tr = Trainer(make_task(), CODE4, ComposerKind.LINEAR, tiny_cfg(schedule=s))
+        horizon = tr.schedule.horizon
+        assert horizon == tr.total_steps // 2 > 0
+        assert [tr.schedule.temperature(t) for t in (0, horizon, 10 * horizon)] == [0.7] * 3
 
     def test_monotone_non_increasing(self):
         s = TempSchedule(tau_init=1.0, tau_min=0.05, horizon=37)
@@ -89,8 +96,6 @@ class TestTempSchedule:
         assert all(a >= b for a, b in zip(temps, temps[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            TempSchedule(kind="linear")
         with pytest.raises(ValueError, match="tau"):
             TempSchedule(tau_init=0.1, tau_min=0.5)
         with pytest.raises(ValueError, match="tau"):
