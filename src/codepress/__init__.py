@@ -7,14 +7,7 @@ relaxation with straight-through discretization, so the table of float rows
 is replaced by (tiny integer codes + shared composer weights).
 """
 
-from .accounting import (
-    code_bits,
-    coded_layer_bits,
-    composer_params,
-    dense_layer_bits,
-    min_code_length,
-    no_collision_probability,
-)
+from .accounting import code_bits, composer_params, dense_layer_bits, no_collision_probability
 from .codes import (
     CodeConfig,
     CodeTable,
@@ -53,7 +46,7 @@ from .datasets import (
 )
 from .tasks import ClassificationTask, ReconstructionTask
 from .metrics import code_semantics_probe, nn_overlap
-from .reporting import RunReport, build_report, load_reports, save_reports, text_table
+from .reporting import RunReport, load_reports, save_reports, text_table
 from .sweeps import ablation_variants, run_ablation, sweep
 
 __version__ = "0.1.0"

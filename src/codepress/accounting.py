@@ -18,18 +18,6 @@ def bits_per_digit(alphabet_size: int) -> int:
     return (alphabet_size - 1).bit_length()
 
 
-def min_code_length(vocab_size: int, alphabet_size: int) -> int:
-    """Smallest D with alphabet_size**D >= vocab_size."""
-    if vocab_size < 1:
-        raise ValueError("vocab_size must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
-    d = 1
-    while alphabet_size**d < vocab_size:
-        d += 1
-    return d
-
-
 def code_bits(vocab_size: int, alphabet_size: int, code_length: int) -> int:
     """Bits to store the code table itself: N * D * ceil(log2 K)."""
     return vocab_size * code_length * bits_per_digit(alphabet_size)
@@ -45,37 +33,9 @@ def composer_params(
     return alphabet_size * code_length * code_embed_dim + extra_params
 
 
-def coded_layer_bits(
-    vocab_size: int,
-    alphabet_size: int,
-    code_length: int,
-    code_embed_dim: int,
-    extra_params: int = 0,
-) -> int:
-    """Total storage: discrete codes plus 32-bit composer parameters."""
-    return code_bits(vocab_size, alphabet_size, code_length) + FLOAT_BITS * composer_params(
-        alphabet_size, code_length, code_embed_dim, extra_params
-    )
-
-
 def dense_layer_bits(vocab_size: int, embed_dim: int) -> int:
     """Baseline storage for a dense float32 table: 32 * N * d."""
     return FLOAT_BITS * vocab_size * embed_dim
-
-
-def low_rank_bits(n: int, d: int, rank: int) -> int:
-    """Two float32 factors, (n, rank) and (rank, d)."""
-    return FLOAT_BITS * (n * rank + rank * d)
-
-
-def pq_bits(n: int, d: int, subspaces: int, n_centroids: int) -> int:
-    """Assignment bits via code accounting plus 32-bit centroid storage."""
-    return code_bits(n, n_centroids, subspaces) + FLOAT_BITS * n_centroids * d
-
-
-def scalar_bits(n: int, d: int, bits: int) -> int:
-    """``bits`` per entry plus the grid's float32 offset and scale."""
-    return n * d * bits + 2 * FLOAT_BITS
 
 
 def no_collision_probability(

@@ -8,7 +8,7 @@ whose code table a second fit can take as ``frozen_table``.
 
 The ``evaluate_*`` wrappers return the method name, the reconstruction and a
 config echo; they score nothing.  ``tasks.ReconstructionTask`` is the one
-reconstruction error, and ``reporting.build_report`` derives every method's
+reconstruction error, and a ``reporting.RunReport`` computes every method's
 bits from its echo through the same accounting as the coded layer, so error
 and bit comparisons across methods are internally consistent.
 """
@@ -261,7 +261,7 @@ def random_codes(
 class QuantizationResult(NamedTuple):
     method: str
     reconstruction: np.ndarray
-    config: dict  # config echo; reporting.build_report derives storage from it
+    config: dict  # config echo; a reporting.RunReport computes storage from it
 
 
 def _echo(family: str, matrix: np.ndarray, **fields) -> dict:

@@ -34,7 +34,7 @@ from .composer import compose_digits, load_codebook, save_codebook
 from .configfile import describe_defaults, parse_config
 from .datasets import load_embeddings
 from .metrics import code_semantics_probe, nn_overlap
-from .reporting import build_report, kd_config, save_reports, text_table
+from .reporting import RunReport, kd_config, save_reports, text_table
 from .sweeps import SWEEP_AXES, run_one, sweep
 from .tasks import ReconstructionTask
 from .training import TrainConfig, fit
@@ -89,9 +89,12 @@ def _load_table_embeddings(path, table: CodeTable) -> np.ndarray:
     return matrix
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int, rows: int | None = None) -> None:
+    """``--k`` is 0 (no overlap) or below the row count, once rows are loaded."""
     if k < 0:
         raise ValueError(f"--k must be >= 0 (0 skips the neighborhood overlap), got {k}")
+    if rows is not None and k >= rows:
+        raise ValueError(f"k must lie in [1, {rows - 1}], got {k}")
 
 
 def _emit_scored(method: str, config: dict, targets: np.ndarray, rows: np.ndarray,
@@ -101,8 +104,7 @@ def _emit_scored(method: str, config: dict, targets: np.ndarray, rows: np.ndarra
     metrics = ReconstructionTask(targets).evaluate(lambda ids: rows[ids])
     if args.k > 0:
         metrics["nn_overlap"] = nn_overlap(targets, rows, args.k)
-    report = build_report(method, config, metrics, wall_time_s=time.perf_counter() - start)
-    return _emit([report], args.out)
+    return _emit([RunReport(method, config, metrics, time.perf_counter() - start)], args.out)
 
 
 def cmd_eval(args) -> int:
@@ -115,6 +117,7 @@ def cmd_eval(args) -> int:
             f"{args.codes} has K={table.alphabet_size} D={table.code_length}, but "
             f"{args.codebook} has K={book.alphabet_size} D={book.code_length}")
     targets = _load_table_embeddings(args.embeddings, table)
+    _check_k(args.k, targets.shape[0])
     rows = compose_digits(table.codes, book).data
     return _emit_scored(f"kd({book.kind.value})", kd_config(table, book, targets.shape[1]),
                         targets, rows, args, start)
@@ -125,6 +128,7 @@ def cmd_baseline(args) -> int:
     start = time.perf_counter()
     _check_k(args.k)
     symbols, targets = load_embeddings(args.embeddings)
+    _check_k(args.k, targets.shape[0])
     if args.method == "full":
         method, rows, config = evaluate_full(targets)
     elif args.method == "lowrank":
@@ -155,7 +159,7 @@ def cmd_sweep(args) -> int:
     ]
     reports = sweep(args.axis, values, settings)
     _emit(reports, args.out)
-    failed = [r.config["value"] for r in reports if r.method.endswith(" FAILED")]
+    failed = [r.config["value"] for r in reports if "error" in r.config]
     if failed:
         print(f"sweep: {args.axis} failed for {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -163,11 +167,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_probe_codes(args) -> int:
+    if args.max_groups < 0:
+        raise ValueError(f"--max-groups must be >= 0 (0 lists every group), "
+                         f"got {args.max_groups}")
     table = load_code_table(args.codes)
     groups = {table.code_string(ids[0]): ids for ids in code_groups(table).values()}
     listed = [code for code in sorted(groups)
               if not args.collisions_only or len(groups[code]) >= 2]
-    limit = args.max_groups if args.max_groups > 0 else len(listed)
+    limit = args.max_groups or len(listed)
     for code in listed[:limit]:
         print(f"{code}: {' '.join(table.symbols[i] for i in groups[code])}")
     if len(listed) > limit:
@@ -233,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe-codes", help="print symbols grouped by learned code")
     p.add_argument("--codes", required=True)
     p.add_argument("--embeddings", default="", help="optional embeddings for similarity stats")
-    p.add_argument("--max-groups", type=int, default=50)
+    p.add_argument("--max-groups", type=int, default=50,
+                   help="groups to list, then a count of the rest (0 lists every group)")
     p.add_argument("--collisions-only", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_probe_codes)

@@ -1,11 +1,11 @@
 """Run reports: one record per trained/evaluated configuration.
 
-A report holds the method, its configuration echo, the storage figures the
-echo implies, every measured number once under ``metrics`` (reconstruction
-error, neighborhood overlap, accuracies), and the wall time.  Storage figures
-are always recomputed from the configuration echo through the accounting
-module — never copied from the caller — so a corrupted config and its report
-disagree loudly (``verify_accounting``).
+A report holds the method, its configuration echo, every measured number once
+under ``metrics`` (reconstruction error, neighborhood overlap, accuracies), and
+the wall time.  Its storage figures (``params_count``, ``bits``,
+``compression_ratio``) are properties of the echo, their one source.
+``save_reports`` writes them into every record for readers, and
+``load_reports`` rejects a record whose figures and echo disagree.
 """
 
 from __future__ import annotations
@@ -18,52 +18,59 @@ from . import accounting
 FAMILIES = ("kd", "full", "lowrank", "pq", "scalar")
 
 
-@dataclass
-class RunReport:
-    method: str
-    config: dict
-    params_count: int
-    bits: int
-    compression_ratio: float  # dense float32 bits / this method's bits
-    metrics: dict = field(default_factory=dict)
-    wall_time_s: float | None = None
-
-
 def accounting_for(config: dict) -> tuple[int, int, float]:
-    """(params, bits, compression ratio) implied by a config echo.
-
-    An echo without a key its family needs raises a ``ValueError`` naming it.
-    """
+    """(params, bits, compression ratio) implied by a config echo: code bits
+    plus 32 per float32 value, which are the parameters save scalar's offset
+    and scale.  A missing or non-integer size raises a ValueError naming it."""
     family = config.get("family")
     if family not in FAMILIES:
         raise ValueError(f"config echo needs a family in {FAMILIES}, got {family!r}")
 
-    def need(key: str) -> int:
+    def need(key: str, least: int = 1) -> int:
         if key not in config:
             raise ValueError(f"{family} config echo has no '{key}'")
-        return int(config[key])
+        value = config[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ValueError(f"{family} config echo's '{key}' must be an integer "
+                             f">= {least}, got {value!r}")
+        return value
 
     n, d = need("vocab_size"), need("embed_dim")
-    full_bits = accounting.dense_layer_bits(n, d)
     if family == "kd":
         k, length = need("alphabet_size"), need("code_length")
-        dprime, extra = need("digit_dim"), need("extra_params")
-        params = accounting.composer_params(k, length, dprime, extra)
-        bits = accounting.coded_layer_bits(n, k, length, dprime, extra)
+        params = accounting.composer_params(k, length, need("digit_dim"),
+                                            need("extra_params", least=0))
+        code_bits = accounting.code_bits(n, k, length)
     elif family == "full":
-        params, bits = n * d, full_bits
-    elif family == "lowrank":
+        params, code_bits = n * d, 0
+    elif family == "lowrank":  # two factors, (n, rank) and (rank, d)
         rank = need("rank")
-        params = n * rank + rank * d
-        bits = accounting.low_rank_bits(n, d, rank)
-    elif family == "pq":
+        params, code_bits = n * rank + rank * d, 0
+    elif family == "pq":  # one centroid index per subspace, and the centroid tables
         m, k = need("subspaces"), need("n_centroids")
-        params = k * d
-        bits = accounting.pq_bits(n, d, m, k)
-    else:  # scalar
-        params = n * d
-        bits = accounting.scalar_bits(n, d, need("bits_per_value"))
-    return params, bits, full_bits / bits
+        params, code_bits = k * d, accounting.code_bits(n, k, m)
+    else:  # scalar: every entry on a grid of bits_per_value bits
+        params, code_bits = n * d, n * d * need("bits_per_value")
+    bits = code_bits + accounting.FLOAT_BITS * (2 if family == "scalar" else params)
+    return params, bits, accounting.dense_layer_bits(n, d) / bits
+
+
+def _storage(config: dict) -> tuple[int, int, float]:
+    """A failed run (its echo carries the error) stores nothing."""
+    return (0, 0, 0.0) if "error" in config else accounting_for(config)
+
+
+@dataclass
+class RunReport:
+    method: str
+    config: dict
+    metrics: dict = field(default_factory=dict)
+    wall_time_s: float | None = None
+
+    # read-only storage figures; the ratio is dense float32 bits over these bits
+    params_count = property(lambda self: _storage(self.config)[0])
+    bits = property(lambda self: _storage(self.config)[1])
+    compression_ratio = property(lambda self: _storage(self.config)[2])
 
 
 def kd_config(table, book, embed_dim: int) -> dict:
@@ -80,47 +87,20 @@ def kd_config(table, book, embed_dim: int) -> dict:
     }
 
 
-def build_report(
-    method: str,
-    config: dict,
-    metrics: dict | None = None,
-    wall_time_s: float | None = None,
-) -> RunReport:
-    params, bits, ratio = accounting_for(config)
-    return RunReport(
-        method=method,
-        config=dict(config),
-        params_count=params,
-        bits=bits,
-        compression_ratio=ratio,
-        metrics=dict(metrics or {}),
-        wall_time_s=wall_time_s,
-    )
-
-
-def verify_accounting(report: RunReport) -> None:
-    """Recompute storage figures from the config echo; raise on any mismatch."""
-    params, bits, ratio = accounting_for(report.config)
-    if params != report.params_count:
-        raise ValueError(
-            f"params mismatch: report says {report.params_count}, config implies {params}"
-        )
-    if bits != report.bits:
-        raise ValueError(f"bits mismatch: report says {report.bits}, config implies {bits}")
-    if ratio != report.compression_ratio:
-        raise ValueError(
-            f"ratio mismatch: report says {report.compression_ratio}, config implies {ratio}"
-        )
+_STORAGE = ("params_count", "bits", "compression_ratio")
 
 
 def save_reports(path, reports: list[RunReport]) -> None:
-    """Line-delimited JSON, one report per line, keys sorted."""
+    """Line-delimited JSON, one report per line, keys sorted; each record
+    carries the storage figures of its echo."""
+    # every line is made before the file opens: an echo that raises writes nothing
+    lines = [json.dumps({**asdict(r), **dict(zip(_STORAGE, _storage(r.config)))},
+                        sort_keys=True) + "\n" for r in reports]
     with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+        fh.writelines(lines)
 
 
-# the types each report field may hold after JSON parsing; bool, a subclass
+# the types each record field may hold after JSON parsing; bool, a subclass
 # of int, fits none of them
 _FIELD_TYPES = {
     "method": (str,),
@@ -134,19 +114,28 @@ _FIELD_TYPES = {
 
 
 def _report_of(record) -> RunReport:
-    report = RunReport(**record)
+    if not isinstance(record, dict):
+        raise ValueError(f"a report must be a JSON object, got {record!r}")
+    report = RunReport(**{k: v for k, v in record.items() if k not in _STORAGE})
     for name, types in _FIELD_TYPES.items():
-        value = getattr(report, name)
+        if name in _STORAGE and name not in record:
+            raise ValueError(f"the storage figure '{name}' is missing")
+        value = record[name] if name in _STORAGE else getattr(report, name)
         if isinstance(value, bool) or not isinstance(value, types):
             names = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise ValueError(f"'{name}' must be {names}, got {value!r}")
+    for name, implied in zip(_STORAGE, _storage(report.config)):
+        if record[name] != implied:
+            raise ValueError(f"'{name}' is {record[name]!r}, but the config echo "
+                             f"implies {implied!r}")
     return report
 
 
 def load_reports(path) -> list[RunReport]:
     """Read ``save_reports`` output.  A line that is not UTF-8, not JSON, not
-    a report's fields or not their JSON types raises a ``ValueError`` naming
-    the file and line."""
+    a report's fields or not their JSON types, or whose storage figures are
+    not those its config echo implies, raises a ``ValueError`` naming the
+    file and line."""
     reports = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -154,7 +143,7 @@ def load_reports(path) -> list[RunReport]:
                 line = raw.decode("utf-8")
                 if line.strip():
                     reports.append(_report_of(json.loads(line)))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return reports
 

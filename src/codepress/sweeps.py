@@ -20,7 +20,7 @@ from .baselines import evaluate_full, evaluate_pq, evaluate_scalar, fit_dense_em
 from .codes import CodeConfig
 from .configfile import DEFAULTS, build_code_config, build_train_config
 from .datasets import clustered_embeddings, load_embeddings, make_vocab, marker_corpus
-from .reporting import RunReport, build_report, kd_config
+from .reporting import RunReport, kd_config
 from .tasks import ClassificationTask, ReconstructionTask
 from .training import FitResult, TrainConfig, fit
 
@@ -72,24 +72,15 @@ def run_one(settings: dict, **overrides) -> tuple[RunReport, FitResult]:
         pretrained=targets if train_cfg.guidance.mode == "pdg" else None,
         symbols=symbols,
     )
-    report = build_report(
-        method=f"kd({settings['composer']})",
-        config={**kd_config(result.table, result.book, task.embed_dim), "seed": settings["seed"]},
-        metrics=result.evaluate(),
-        wall_time_s=time.perf_counter() - start,
-    )
+    config = {**kd_config(result.table, result.book, task.embed_dim), "seed": settings["seed"]}
+    report = RunReport(f"kd({settings['composer']})", config, result.evaluate(),
+                       time.perf_counter() - start)
     return report, result
 
 
 def _failed(method: str, exc: Exception, **echo) -> RunReport:
     """Placeholder row for a run that raised: no storage, the error in its echo."""
-    return RunReport(
-        method=f"{method} FAILED",
-        config={"family": "kd", **echo, "error": str(exc)},
-        params_count=0,
-        bits=0,
-        compression_ratio=0.0,
-    )
+    return RunReport(f"{method} FAILED", {"family": "kd", **echo, "error": str(exc)})
 
 
 def sweep(axis: str, values, settings: dict) -> list[RunReport]:
@@ -217,13 +208,12 @@ def compression_comparison(
     def rescored(qr) -> RunReport:
         rows = qr.reconstruction
         scores = dense_task.evaluate(lambda ids: rows[np.asarray(ids)])
-        return build_report(qr.method, qr.config, metrics={"val_accuracy": scores["val_accuracy"]})
+        return RunReport(qr.method, qr.config, {"val_accuracy": scores["val_accuracy"]})
 
     return [
         rescored(evaluate_full(dense)),
-        build_report(f"kd({alphabet}x{length},{composer})",
-                     kd_config(kd.table, kd.book, embed_dim),
-                     metrics={"val_accuracy": kd.evaluate()["val_accuracy"]}),
+        RunReport(f"kd({alphabet}x{length},{composer})", kd_config(kd.table, kd.book, embed_dim),
+                  {"val_accuracy": kd.evaluate()["val_accuracy"]}),
         rescored(evaluate_pq(dense, subspaces, centroids, np.random.default_rng(seed + 3))),
         rescored(evaluate_scalar(dense, scalar_bits)),
     ]

@@ -41,7 +41,7 @@ from codepress.guidance import (
     odg_mix,
 )
 from codepress.metrics import code_semantics_probe
-from codepress.reporting import text_table, verify_accounting
+from codepress.reporting import load_reports, save_reports, text_table
 from codepress.sweeps import ABLATION_ORDER, compression_comparison, run_ablation
 from codepress.tasks import ReconstructionTask
 from codepress.training import TrainConfig, Trainer, fit
@@ -526,7 +526,7 @@ def test_gate_09_ablation_ladder():
 # ---------------------------------------------------------------------------
 
 
-def test_gate_10_compression_end_to_end():
+def test_gate_10_compression_end_to_end(tmp_path):
     start = time.perf_counter()
     # Corpus seed 0, task seeds 1 and 2, PQ seed 3; dense 8 epochs, kd 8 + 2.
     reports = compression_comparison(
@@ -534,8 +534,9 @@ def test_gate_10_compression_end_to_end():
         composer="linear-sum", subspaces=4, centroids=16, scalar_bits=8,
         epochs=8, batch_size=64, learning_rate=0.01, seed=0,
     )
-    for r in reports:
-        verify_accounting(r)
+    # load_reports checks every saved record's storage figures against its echo
+    save_reports(tmp_path / "reports.jsonl", reports)
+    assert load_reports(tmp_path / "reports.jsonl") == reports
     print(text_table(reports))
 
     acc_full, acc_kd, acc_pq, acc_sq = (r.metrics["val_accuracy"] for r in reports)

@@ -8,6 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codepress import accounting as acc
+from codepress.reporting import accounting_for
+
+
+def kd_bits(n: int, k: int, d: int, dprime: int) -> int:
+    """Bits of a coded layer, read from its config echo."""
+    return accounting_for({"family": "kd", "vocab_size": n, "embed_dim": 1, "alphabet_size": k,
+                           "code_length": d, "digit_dim": dprime, "extra_params": 0})[1]
 
 
 class TestDigitBits:
@@ -23,22 +30,6 @@ class TestDigitBits:
     def test_powers_of_two(self):
         assert acc.bits_per_digit(2) == 1
         assert acc.bits_per_digit(32) == 5
-
-
-class TestMinCodeLength:
-    def test_pinned_examples(self):
-        assert acc.min_code_length(10_000, 32) == 3
-        assert acc.min_code_length(10_000, 2) == 14
-
-    def test_boundaries(self):
-        assert acc.min_code_length(1, 5) == 1
-        assert acc.min_code_length(5, 5) == 1
-        assert acc.min_code_length(6, 5) == 2
-
-    def test_covers_vocab(self):
-        for n, k in [(17, 2), (1000, 3), (10**6, 7)]:
-            d = acc.min_code_length(n, k)
-            assert k**d >= n and k ** (d - 1) < n
 
 
 class TestLayerBits:
@@ -57,7 +48,7 @@ class TestLayerBits:
 
     def test_coded_layer_bits_by_hand(self):
         # N=100, K=4, D=2, d'=3: 100*2*2 code bits + 32*24 param bits
-        assert acc.coded_layer_bits(100, 4, 2, 3) == 400 + 768
+        assert kd_bits(100, 4, 2, 3) == 400 + 768
 
 
 class TestCollisions:
@@ -103,6 +94,6 @@ def test_probability_bounds(n, k, d):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10**6), st.integers(2, 64), st.integers(1, 8), st.integers(1, 512))
 def test_bits_are_consistent(n, k, d, dprime):
-    total = acc.coded_layer_bits(n, k, d, dprime)
+    total = kd_bits(n, k, d, dprime)
     assert total == acc.code_bits(n, k, d) + 32 * acc.composer_params(k, d, dprime)
     assert acc.code_bits(n, k, d) == n * d * acc.bits_per_digit(k)

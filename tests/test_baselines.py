@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from codepress.accounting import FLOAT_BITS, low_rank_bits, pq_bits, scalar_bits
+from codepress.accounting import FLOAT_BITS
 from codepress.baselines import (
     evaluate_full,
     evaluate_low_rank,
@@ -18,7 +18,7 @@ from codepress.baselines import (
 from codepress.codes import CodeConfig
 from codepress.composer import ComposerKind
 from codepress.datasets import clustered_embeddings
-from codepress.reporting import build_report
+from codepress.reporting import RunReport, accounting_for
 from codepress.tasks import ReconstructionTask
 from codepress.training import TrainConfig, Trainer, fit
 
@@ -70,7 +70,8 @@ class TestLowRank:
             low_rank_fit(matrix, rank=5)
 
     def test_bits_formula(self):
-        assert low_rank_bits(100, 20, 5) == 32 * 5 * (100 + 20)
+        echo = {"family": "lowrank", "vocab_size": 100, "embed_dim": 20, "rank": 5}
+        assert accounting_for(echo)[1] == 32 * 5 * (100 + 20)
 
 
 class TestKMeans:
@@ -146,7 +147,9 @@ class TestProductQuantization:
     def test_bits_worked_example(self):
         # 10^4 symbols, 650 dims, 2 subspaces of 64 centroids:
         # 10^4 * 2 * 6 assignment bits plus 32-bit centroid tables
-        assert pq_bits(10_000, 650, 2, 64) == 120_000 + 32 * 64 * 650
+        echo = {"family": "pq", "vocab_size": 10_000, "embed_dim": 650, "subspaces": 2,
+                "n_centroids": 64}
+        assert accounting_for(echo)[1] == 120_000 + 32 * 64 * 650
 
 
 class TestScalarQuantization:
@@ -184,7 +187,8 @@ class TestScalarQuantization:
             scalar_quantize(np.zeros((2, 2)), 0)
         with pytest.raises(ValueError, match="bits"):
             scalar_quantize(np.zeros((2, 2)), 33)
-        assert scalar_bits(1000, 50, 8) == 1000 * 50 * 8 + 64
+        echo = {"family": "scalar", "vocab_size": 1000, "embed_dim": 50, "bits_per_value": 8}
+        assert accounting_for(echo)[1] == 1000 * 50 * 8 + 64
 
 
 class TestRandomCodes:
@@ -242,8 +246,8 @@ class TestPretrainedCodes:
 
 
 def stored_bits(result) -> int:
-    """Bits of the report built from a wrapper's config echo."""
-    return build_report(result.method, result.config).bits
+    """Bits of the report of a wrapper's config echo."""
+    return RunReport(result.method, result.config).bits
 
 
 class TestEvaluateWrappers:
@@ -258,7 +262,7 @@ class TestEvaluateWrappers:
         matrix = np.random.default_rng(19).normal(size=(20, 10))
         result = evaluate_low_rank(matrix, rank=3)
         assert result.method == "lowrank(r=3)"
-        assert stored_bits(result) == low_rank_bits(20, 10, 3)
+        assert stored_bits(result) == 32 * 3 * (20 + 10)
         assert entry_mse(result.reconstruction, matrix) > 0
 
     def test_pq_tag_and_bits(self):
@@ -266,20 +270,20 @@ class TestEvaluateWrappers:
         result = evaluate_pq(matrix, subspaces=2, n_centroids=4,
                              rng=np.random.default_rng(0))
         assert result.method == "pq(2x4)"
-        assert stored_bits(result) == pq_bits(30, 8, 2, 4)
+        assert stored_bits(result) == 30 * 2 * 2 + 32 * 4 * 8
 
     def test_scalar_tag_and_bits(self):
         matrix = np.random.default_rng(21).normal(size=(30, 8))
         result = evaluate_scalar(matrix, bits=8)
         assert result.method == "scalar(8bit)"
-        assert stored_bits(result) == scalar_bits(30, 8, 8)
+        assert stored_bits(result) == 30 * 8 * 8 + 64
         assert np.array_equal(result.reconstruction, scalar_quantize(matrix, 8).quantized)
 
     def test_params_counts_are_stored_values(self):
         matrix = np.random.default_rng(22).normal(size=(16, 6))
 
         def stored_params(result) -> int:
-            return build_report(result.method, result.config).params_count
+            return RunReport(result.method, result.config).params_count
 
         assert stored_params(evaluate_full(matrix)) == 16 * 6
         assert stored_params(evaluate_low_rank(matrix, rank=2)) == 2 * (16 + 6)

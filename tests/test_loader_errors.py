@@ -215,6 +215,37 @@ class TestReportFileErrors:
             with pytest.raises(ValueError, match=names(path, 2) + f".*'{field}'"):
                 load_reports(path)
 
+    def test_missing_storage_figure_names_line(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0), report(1)])
+        good, bad = path.read_text().splitlines()
+        record = json.loads(bad)
+        del record["bits"]
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=names(path, 2) + ".*'bits' is missing"):
+            load_reports(path)
+
+    @pytest.mark.parametrize("value", [0, 10.0, True, "12", None])
+    def test_bad_echo_size_names_line_and_key(self, tmp_path, value):
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0), report(1)])
+        good, bad = path.read_text().splitlines()
+        record = json.loads(bad)
+        record["config"]["vocab_size"] = value
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=names(path, 2) + ".*'vocab_size'"):
+            load_reports(path)
+
+    def test_echo_whose_ratio_overflows_names_line(self, tmp_path):
+        # two rank-1 factors of a 10^400 x 10^400 table: the ratio is 5e399
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [report(0)])
+        record = json.loads(path.read_text())
+        record["config"].update(vocab_size=10**400, embed_dim=10**400)
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=names(path, 1) + ".*too large"):
+            load_reports(path)
+
     def test_numbers_and_nulls_load(self, tmp_path):
         path = tmp_path / "reports.jsonl"
         save_reports(path, [report(0)])
@@ -228,8 +259,10 @@ class TestReportFileErrors:
 
 
 def report(seed: int) -> RunReport:
-    return RunReport(method=f"kd[{seed}]", config={"family": "kd", "seed": seed},
-                     params_count=seed, bits=8 * seed, compression_ratio=1.5,
+    # a 4 x 4 table as two rank-1 factors stores half the bits of the dense one
+    return RunReport(method=f"lowrank[{seed}]",
+                     config={"family": "lowrank", "vocab_size": 4, "embed_dim": 4, "rank": 1,
+                             "seed": seed},
                      metrics={"val_loss": 0.25}, wall_time_s=None)
 
 

@@ -1,6 +1,7 @@
 """Neighborhood overlap, the shared-code semantics probe, and run reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from codepress.reporting import (
     MISSING,
     RunReport,
     accounting_for,
-    build_report,
     kd_config,
     load_reports,
     save_reports,
     text_table,
-    verify_accounting,
 )
 from codepress.sweeps import _failed
 
@@ -189,32 +188,44 @@ class TestAccountingEcho:
 
 
 class TestReports:
-    def test_build_report_populates_accounting(self):
-        report = build_report("kd", KD_CONFIG, metrics={"val_mse": 0.5})
-        verify_accounting(report)  # must not raise
+    def test_report_storage_is_that_of_the_echo(self):
+        report = RunReport("kd", KD_CONFIG, metrics={"val_mse": 0.5})
+        assert (report.params_count, report.bits, report.compression_ratio) == \
+            accounting_for(KD_CONFIG)
         assert report.bits == accounting_for(KD_CONFIG)[1]
 
-    def test_verify_catches_corrupted_bits(self):
-        report = build_report("kd", KD_CONFIG)
-        report.bits += 1
-        with pytest.raises(ValueError, match="bits mismatch"):
-            verify_accounting(report)
+    @staticmethod
+    def saved_with_second_record(tmp_path, corrupt):
+        """Two kd reports saved, the second record changed by ``corrupt``."""
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [RunReport("kd", KD_CONFIG)] * 2)
+        good, bad = path.read_text().splitlines()
+        record = json.loads(bad)
+        corrupt(record)
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        return path
 
-    def test_verify_catches_corrupted_config(self):
-        report = build_report("kd", KD_CONFIG)
-        report.config["alphabet_size"] = 64
-        with pytest.raises(ValueError, match="mismatch"):
-            verify_accounting(report)
+    def test_verify_catches_corrupted_bits(self, tmp_path):
+        path = self.saved_with_second_record(
+            tmp_path, lambda record: record.update(bits=record["bits"] + 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: 'bits'") + ".*implies"):
+            load_reports(path)
+
+    def test_verify_catches_corrupted_config(self, tmp_path):
+        path = self.saved_with_second_record(
+            tmp_path, lambda record: record["config"].update(alphabet_size=64))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".*implies"):
+            load_reports(path)
 
     def test_jsonl_round_trip_is_exact(self, tmp_path):
         reports = [
-            build_report(
+            RunReport(
                 "kd", KD_CONFIG,
                 metrics={"val_mse": 0.1234567890123456789, "nn": 1 / 3,
                          "reconstruction_mse": 2.0**-37},
                 wall_time_s=1.5,
             ),
-            build_report(
+            RunReport(
                 "scalar(8bit)",
                 {"family": "scalar", "vocab_size": 100, "embed_dim": 8,
                  "bits_per_value": 8},
@@ -231,22 +242,39 @@ class TestReports:
 
     def test_jsonl_is_line_delimited(self, tmp_path):
         path = tmp_path / "reports.jsonl"
-        save_reports(path, [build_report("kd", KD_CONFIG)] * 3)
+        save_reports(path, [RunReport("kd", KD_CONFIG)] * 3)
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3
         import json
 
         assert all(isinstance(json.loads(line), dict) for line in lines)
 
+    def test_failed_row_round_trips(self, tmp_path):
+        failed = _failed("kd[alphabet_size=1]", ValueError("boom"), axis="alphabet_size",
+                         value="1")
+        path = tmp_path / "reports.jsonl"
+        save_reports(path, [RunReport("kd", KD_CONFIG), failed])
+        loaded = load_reports(path)
+        assert loaded == [RunReport("kd", KD_CONFIG), failed]
+        assert (loaded[1].params_count, loaded[1].bits, loaded[1].compression_ratio) == \
+            (0, 0, 0.0)
+        # a failed run stores nothing, so a record of one that claims bits is rejected
+        good, bad = path.read_text().splitlines()
+        record = json.loads(bad)
+        record["bits"] = 8
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: 'bits'")):
+            load_reports(path)
+
 
 class TestTextTable:
     def test_comma_grouped_bits_and_dash_for_missing(self):
-        full = build_report(
+        full = RunReport(
             "full",
             {"family": "full", "vocab_size": 10_000, "embed_dim": 200},
         )
-        kd = build_report("kd", KD_CONFIG, metrics={"reconstruction_mse": 0.125,
-                                                    "val_mse": 0.25})
+        kd = RunReport("kd", KD_CONFIG, metrics={"reconstruction_mse": 0.125,
+                                                 "val_mse": 0.25})
         table = text_table([full, kd])
         assert "64,000,000" in table
         full_row = table.split("\n")[2].split()
@@ -255,7 +283,7 @@ class TestTextTable:
         assert "0.1250" in table
 
     def test_header_and_alignment(self):
-        report = build_report("kd", KD_CONFIG)
+        report = RunReport("kd", KD_CONFIG)
         table = text_table([report])
         lines = table.split("\n")
         assert lines[0].startswith("method")
@@ -263,8 +291,8 @@ class TestTextTable:
         assert lines[2].startswith("kd")
 
     def test_metric_columns_sorted_union(self):
-        a = build_report("kd", KD_CONFIG, metrics={"zeta": 1.0})
-        b = build_report("kd", KD_CONFIG, metrics={"alpha": 2.0})
+        a = RunReport("kd", KD_CONFIG, metrics={"zeta": 1.0})
+        b = RunReport("kd", KD_CONFIG, metrics={"alpha": 2.0})
         header = text_table([a, b]).split("\n")[0]
         assert header.index("alpha") < header.index("zeta")
 
@@ -274,7 +302,7 @@ class TestTextTable:
 
     def test_failed_row_shows_dashes_for_storage(self, tmp_path):
         failed = _failed("kd[code_length=1]", ValueError("boom"), axis="code_length", value="1")
-        table = text_table([build_report("kd", KD_CONFIG), failed])
+        table = text_table([RunReport("kd", KD_CONFIG), failed])
         cells = table.split("\n")[3].split()
         assert cells[:2] == ["kd[code_length=1]", "FAILED"]
         assert cells[2:5] == [MISSING] * 3

@@ -491,6 +491,32 @@ class TestCli:
         assert captured.out == ""
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_a_k_of_the_row_count_is_rejected_before_any_work(self, workdir, capsys,
+                                                               monkeypatch, command):
+        out, emb = self.fitted_with_embeddings(workdir, lambda symbols: symbols)
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a fit or a composition started")
+
+        monkeypatch.setattr("codepress.cli.fit", no_work)
+        monkeypatch.setattr("codepress.cli.compose_digits", no_work)
+        report_path = workdir / "report.jsonl"
+        argv = {
+            "eval": ["eval", "--codes", str(out / "codes.txt"),
+                     "--codebook", str(out / "codebook.bin")],
+            "baseline": ["baseline", "random", "--alphabet", "4", "--length", "3",
+                         "--epochs", "1"],
+        }[command]
+        # the workdir config's 40 rows leave at most 39 neighbors
+        assert main([*argv, "--embeddings", str(emb), "--k", "40",
+                     "--out", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: k must lie in [1, 39], got 40"]
+        assert captured.out == ""
+        assert not report_path.exists()
+
     def test_baseline_subcommands(self, workdir, capsys):
         rng = np.random.default_rng(0)
         targets, _ = clustered_embeddings(30, 6, 3, rng)
@@ -619,6 +645,19 @@ class TestCli:
         assert main(["probe-codes", "--codes", str(tmp_path / "codes.txt"), *argv]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == groups + ([more] if more else [])
+
+    def test_probe_codes_rejects_a_negative_max_groups_before_reading(self, tmp_path, capsys):
+        table = CodeTable(symbols=list("abcdef"), alphabet_size=2,
+                          codes=np.array([[0, 0], [0, 0], [0, 1], [1, 0], [1, 1], [1, 1]]))
+        save_code_table(table, tmp_path / "codes.txt")
+        # the same error for a code table that does not exist: none is read
+        for codes in ("codes.txt", "missing.txt"):
+            assert main(["probe-codes", "--codes", str(tmp_path / codes),
+                         "--max-groups", "-2"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "error: --max-groups must be >= 0 (0 lists every group), got -2"]
+            assert captured.out == ""
 
     def test_probe_codes_reports_random_pairs_of_zero_spread(self, tmp_path, capsys):
         # every row alike: each random pair has cosine 1 and the global se is 0
