@@ -147,6 +147,10 @@ def product_quantize(
     """Split columns into contiguous blocks and k-means-quantize each block."""
     matrix = np.asarray(matrix, dtype=np.float64)
     n, d = matrix.shape
+    if subspaces < 1:
+        raise ValueError(f"subspaces must be >= 1, got {subspaces}")
+    if n_centroids < 2:
+        raise ValueError(f"n_centroids must be >= 2, got {n_centroids}")
     if d % subspaces != 0:
         raise ValueError(f"dim {d} not divisible into {subspaces} subspaces")
     if n_centroids > n:

@@ -62,7 +62,6 @@ DEFAULTS: dict[str, _Key] = {
     "epochs": _train("epochs", "passes over the training split"),
     "batch_size": _train("batch_size", "minibatch size"),
     "learning_rate": _train("learning_rate", "step size"),
-    "optimizer": _train("optimizer", "adam | sgd"),
     "grad_clip": _train("grad_clip", "global gradient-norm cap (0 disables)"),
     "seed": _train("seed", "training seed (init, shuffling, masks)"),
     "use_straight_through": _train(

@@ -41,7 +41,7 @@ class GuidanceConfig:
         if not 0.0 <= self.keep_prob <= 1.0:
             raise ValueError("keep_prob must lie in [0, 1]")
         for name in ("match_weight", "embed_weight", "logit_weight"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.ramp_fraction <= 1.0:
             raise ValueError("ramp_fraction must lie in [0, 1]")

@@ -4,8 +4,8 @@ The row path is the trainer's: the batch's rows of a table enter the graph as
 a fresh leaf, that leaf's gradient goes to the clip as it is, and the
 optimizer takes it with the batch's row ids.  The reference is the dense path:
 ``gradients()`` through ``gather_rows`` returns a full-size gradient per
-parameter, the clip rescales the full arrays, and the reference optimizers
-index those full arrays at the same row ids.  The row path must give the
+parameter, the clip rescales the full arrays, and the reference optimizer
+indexes those full arrays at the same row ids.  The row path must give the
 same gradients and parameter updates to 1e-12, and every row that no batch
 touched must stay bit-identical.
 """
@@ -23,7 +23,7 @@ from codepress.composer import ComposerKind, _compose_frozen
 from codepress.datasets import clustered_embeddings, marker_corpus
 from codepress.guidance import GuidanceConfig
 from codepress.tasks import ClassificationTask, ReconstructionTask, SymbolBatch
-from codepress.training import Adam, Sgd, TempSchedule, TrainConfig, Trainer
+from codepress.training import Adam, TempSchedule, TrainConfig, Trainer
 
 TOL = 1e-12
 CLIP = 0.05  # small enough that every step below is clipped
@@ -32,9 +32,10 @@ CLIP = 0.05  # small enough that every step below is clipped
 class DenseAdam:
     """Adam on dense gradients; the tables named in ``rows`` update lazily."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params, self.lr = params, lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -57,31 +58,12 @@ class DenseAdam:
                 p.data -= self.lr * update
 
 
-class DenseSgd:
-    def __init__(self, params, lr):
-        self.params, self.lr = params, lr
-
-    def step(self, grads, rows):
-        for name, p in self.params.items():
-            if name in rows:
-                r = rows[name]
-                p.data[r] -= self.lr * grads[name][r]
-            else:
-                p.data -= self.lr * grads[name]
-
-
-def make_optimizers(kind, params, ref_params, lr):
-    if kind == "adam":
-        return Adam(params, lr), DenseAdam(ref_params, lr)
-    return Sgd(params, lr), DenseSgd(ref_params, lr)
-
-
 def assert_params_match(params, ref_params):
     for name, p in params.items():
         np.testing.assert_allclose(p.data, ref_params[name].data, rtol=0, atol=TOL, err_msg=name)
 
 
-# -- the clip and the optimizers ------------------------------------------------
+# -- the clip and the optimizer -------------------------------------------------
 
 N_ROWS, WIDTH = 7, 3
 # one step's batch: unique, ascending row ids, as SymbolBatch.symbols are
@@ -95,15 +77,14 @@ def row_loss(rows, w, target):
 @settings(max_examples=40, deadline=None)
 @given(
     steps=st.lists(batch_rows, min_size=1, max_size=3),
-    kind=st.sampled_from(["adam", "sgd"]),
     seed=st.integers(0, 2**16),
 )
-def test_row_gradients_and_updates_match_the_dense_path(steps, kind, seed):
+def test_row_gradients_and_updates_match_the_dense_path(steps, seed):
     rng = np.random.default_rng(seed)
     init_table, init_w = rng.normal(size=(N_ROWS, WIDTH)), rng.normal(size=(WIDTH, WIDTH))
     params = {"table": Tensor(init_table.copy()), "w": Tensor(init_w.copy())}
     ref = {"table": Tensor(init_table.copy()), "w": Tensor(init_w.copy())}
-    opt, ref_opt = make_optimizers(kind, params, ref, lr=0.1)
+    opt, ref_opt = Adam(params, lr=0.1), DenseAdam(ref, lr=0.1)
     touched = set()
     for idx in steps:
         idx = np.array(idx)
@@ -162,9 +143,9 @@ def recon_task(seed=0, val_fraction=0.25):
     return ReconstructionTask(targets, val_fraction=val_fraction, split_seed=seed)
 
 
-def train_cfg(kind, seed, **kw):
+def train_cfg(seed, **kw):
     return TrainConfig(
-        epochs=2, batch_size=16, learning_rate=0.05, optimizer=kind, grad_clip=CLIP, seed=seed,
+        epochs=2, batch_size=16, learning_rate=0.05, grad_clip=CLIP, seed=seed,
         schedule=TempSchedule(tau_init=1.0, tau_min=0.5, horizon=10), **kw,
     )
 
@@ -187,10 +168,9 @@ def dense_epoch(tr, opt, lazy_names, batch_loss):
         tr.step += 1
 
 
-def check_trainer_matches_dense(make_trainer, kind, lazy_names, dense_loss=None):
+def check_trainer_matches_dense(make_trainer, lazy_names, dense_loss=None):
     tr, ref = make_trainer(), make_trainer()
-    ref_opt = DenseAdam(ref.params, ref.cfg.learning_rate) if kind == "adam" else DenseSgd(
-        ref.params, ref.cfg.learning_rate)
+    ref_opt = DenseAdam(ref.params, ref.cfg.learning_rate)
     if dense_loss:
         batch_loss = dense_loss(ref)
     else:
@@ -210,15 +190,15 @@ def check_trainer_matches_dense(make_trainer, kind, lazy_names, dense_loss=None)
 
 
 @settings(max_examples=4, deadline=None)
-@given(kind=st.sampled_from(["adam", "sgd"]), seed=st.integers(0, 1000))
-def test_odg_trainer_matches_the_dense_path(kind, seed):
+@given(seed=st.integers(0, 1000))
+def test_odg_trainer_matches_the_dense_path(seed):
     code_cfg = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
-    cfg = train_cfg(kind, seed, guidance=GuidanceConfig(mode="odg"))
+    cfg = train_cfg(seed, guidance=GuidanceConfig(mode="odg"))
 
     def make():
         return Trainer(recon_task(seed), code_cfg, ComposerKind.LINEAR, cfg)
 
-    tr = check_trainer_matches_dense(make, kind, ["code_logits", "odg_u"])
+    tr = check_trainer_matches_dense(make, ["code_logits", "odg_u"])
     batch = next(iter(tr.task.train_batches(16, np.random.default_rng(0))))
     rows = tr._batch_loss(batch, 0.5)[-1]
     assert set(rows) == {"code_logits", "odg_u"}
@@ -228,22 +208,22 @@ def test_odg_trainer_matches_the_dense_path(kind, seed):
 
 
 @settings(max_examples=4, deadline=None)
-@given(kind=st.sampled_from(["adam", "sgd"]), seed=st.integers(0, 1000))
-def test_frozen_codes_keep_dense_digit_table_updates(kind, seed):
+@given(seed=st.integers(0, 1000))
+def test_frozen_codes_keep_dense_digit_table_updates(seed):
     """The frozen-code path composes through row gathers of the digit tensor;
     the tensor must keep its dense update."""
     code_cfg = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
     table = random_codes(40, 4, 3, seed=seed)
 
     def make():
-        return Trainer(recon_task(seed), code_cfg, ComposerKind.LINEAR, train_cfg(kind, seed),
+        return Trainer(recon_task(seed), code_cfg, ComposerKind.LINEAR, train_cfg(seed),
                        frozen_table=table)
 
     def digits_loss(ref):
         return lambda b, tau: (
             ref.task.batch_loss(_compose_frozen(table.codes[b.symbols], ref.book), b), {})
 
-    tr = check_trainer_matches_dense(make, kind, [], dense_loss=digits_loss)
+    tr = check_trainer_matches_dense(make, [], dense_loss=digits_loss)
     batch = next(iter(tr.task.train_batches(16, np.random.default_rng(0))))
     assert tr._batch_loss(batch, 0.5)[-1] == {}  # no table is read by row
 
@@ -263,15 +243,14 @@ def dense_task(task_kind):
     return ClassificationTask(corpus, 8, np.random.default_rng(0), val_fraction=0.25)
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
 @pytest.mark.parametrize("task_kind", ["recon", "classify"])
-def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
+def test_fit_dense_embedding_matches_the_dense_path(task_kind):
     """The one-hot code's table takes the dense update of a plain lookup table,
     and fit_dense_embedding follows that trainer and keeps its best epoch.
 
     On the reconstruction task validation scores only held-out rows, which a
     lookup table never learns, so fit_dense_embedding refuses it."""
-    cfg = train_cfg(kind, 7)
+    cfg = train_cfg(7)
 
     def lookup_loss(ref):
         def loss(b, tau):
@@ -279,7 +258,7 @@ def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
             return ref.task.batch_loss(ad.gather_rows(matrix, b.symbols), b), {}
         return loss
 
-    tr = check_trainer_matches_dense(lambda: one_hot_trainer(dense_task(task_kind), cfg), kind, [],
+    tr = check_trainer_matches_dense(lambda: one_hot_trainer(dense_task(task_kind), cfg), [],
                                      dense_loss=lookup_loss)
     if task_kind == "recon":
         with pytest.raises(ValueError, match="held-out rows"):
@@ -293,8 +272,7 @@ def test_fit_dense_embedding_matches_the_dense_path(kind, task_kind):
     assert np.array_equal(matrix, tr.book.table.data[0])
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(kind):
+def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows():
     task = recon_task(3)
     scale = 1.0 / np.sqrt(task.embed_dim)
     init = np.random.default_rng(7).uniform(-scale, scale, (task.vocab_size, task.embed_dim))
@@ -302,7 +280,7 @@ def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(k
     assert untrained.book.projection is None
     assert np.array_equal(untrained.embedding_matrix(), init)
 
-    tr = one_hot_trainer(task, train_cfg(kind, 7))
+    tr = one_hot_trainer(task, train_cfg(7))
     for _ in range(tr.cfg.epochs):
         tr.train_epoch()
     table = tr.book.table.data[0]
@@ -311,11 +289,10 @@ def test_dense_reference_starts_from_the_uniform_draw_and_leaves_held_out_rows(k
     assert np.array_equal(table[task.val_ids], init[task.val_ids])
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_fit_dense_embedding_trains_a_reconstruction_task_without_held_out_rows(kind):
+def test_fit_dense_embedding_trains_a_reconstruction_task_without_held_out_rows():
     """With no held-out rows validation scores the trained rows, so every
     epoch improves and fit keeps the last one; held-out rows raise."""
-    cfg = train_cfg(kind, 7)
+    cfg = train_cfg(7)
     with pytest.raises(ValueError, match="held-out rows"):
         fit_dense_embedding(recon_task(3), cfg)
     initial = one_hot_trainer(recon_task(3, val_fraction=0.0), cfg).validate()
@@ -332,7 +309,7 @@ def test_trainer_rejects_batches_off_the_symbol_contract(symbols):
     row would keep only its last Adam write, so such a batch must raise."""
     code_cfg = CodeConfig(vocab_size=40, alphabet_size=4, code_length=3, code_embed_dim=8)
     tr = Trainer(recon_task(), code_cfg, ComposerKind.LINEAR,
-                 train_cfg("adam", 0, guidance=GuidanceConfig(mode="odg")))
+                 train_cfg(0, guidance=GuidanceConfig(mode="odg")))
     batch = SymbolBatch(symbols=np.array(symbols), targets=np.zeros((len(symbols), 8)))
     tr.task.train_batches = lambda batch_size, rng: [batch]
     before = tr._snapshot()

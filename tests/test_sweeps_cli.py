@@ -48,10 +48,11 @@ def config(**values) -> dict:
 
 
 # sha256 of describe_defaults(): the key table --help-config prints
-DEFAULTS_TABLE_SHA256 = "1cdbd9460839609d8edecb70f751cef8669e23187d9761c9ce95b091c9674ce1"
-# the table before schedule_kind and mask_per_symbol were removed, and their lines in it
+DEFAULTS_TABLE_SHA256 = "eeb712f6ed59fab94a6ebfb2518f2443ec92eaf4062a99aeab5649957fa99904"
+# the table before optimizer, schedule_kind and mask_per_symbol were removed, and their lines in it
 FORMER_DEFAULTS_TABLE_SHA256 = "dad86d183f17027cc807f9b697026f92804976b870ccc60a53fd78197260733e"
 REMOVED_DEFAULTS_LINES = (
+    (18, "optimizer                       adam  adam | sgd"),
     (22, "schedule_kind            exponential  constant | exponential"),
     (35, "mask_per_symbol                False  odg: one mask scalar per symbol instead of "
          "per coordinate"),
@@ -67,7 +68,6 @@ DATACLASS_KEYS = {
     "epochs": ("train", "epochs", 7),
     "batch_size": ("train", "batch_size", 9),
     "learning_rate": ("train", "learning_rate", 0.05),
-    "optimizer": ("train", "optimizer", "sgd"),
     "grad_clip": ("train", "grad_clip", 2.5),
     "seed": ("train", "seed", 11),
     "use_straight_through": ("train", "use_straight_through", False),
@@ -155,7 +155,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text(
             "vocab_size = 30\nalphabet_size = 5\ncode_length = 2\ndigit_dim = 6\n"
-            "epochs = 7\nbatch_size = 9\noptimizer = sgd\n"
+            "epochs = 7\nbatch_size = 9\n"
             "tau_init = 0.8\ntau_min = 0.8\nguidance_mode = odg\nkeep_prob = 0.6\n"
         )
         settings = parse_config(path)
@@ -164,7 +164,6 @@ class TestConfigFile:
         assert code.code_embed_dim == 6
         train = build_train_config(settings)
         assert train.epochs == 7 and train.batch_size == 9
-        assert train.optimizer == "sgd"
         assert train.schedule == TempSchedule(tau_init=0.8, tau_min=0.8)
         assert temperatures(train.schedule) == [0.8] * 3
         guide = build_guidance_config(settings)
@@ -173,7 +172,7 @@ class TestConfigFile:
     def test_describe_defaults_is_unchanged(self):
         digest = hashlib.sha256(describe_defaults().encode()).hexdigest()
         assert digest == DEFAULTS_TABLE_SHA256
-        # the two removed keys' lines, put back where they stood, give the
+        # the three removed keys' lines, put back where they stood, give the
         # former table: no other line moved or changed
         lines = describe_defaults().split("\n")
         for lineno, line in REMOVED_DEFAULTS_LINES:
@@ -517,6 +516,29 @@ class TestCli:
         assert captured.out == ""
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--centroids", "1"], "n_centroids must be >= 2, got 1"),
+        (["--subspaces", "0"], "subspaces must be >= 1, got 0"),
+        (["--subspaces", "-1"], "subspaces must be >= 1, got -1"),
+    ], ids=["centroids=1", "subspaces=0", "subspaces=-1"])
+    def test_pq_rejects_its_arguments_before_any_work(self, workdir, capsys, monkeypatch,
+                                                      flags, message):
+        targets, _ = clustered_embeddings(50, 8, 5, np.random.default_rng(0))
+        emb = workdir / "emb.txt"
+        save_embeddings(emb, make_vocab(50), targets)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a k-means started")
+
+        monkeypatch.setattr("codepress.baselines.lloyd_kmeans", no_work)
+        report_path = workdir / "report.jsonl"
+        assert main(["baseline", "pq", "--embeddings", str(emb), *flags,
+                     "--out", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert not report_path.exists()
+
     def test_baseline_subcommands(self, workdir, capsys):
         rng = np.random.default_rng(0)
         targets, _ = clustered_embeddings(30, 6, 3, rng)
@@ -701,9 +723,11 @@ class TestCli:
         assert line.startswith(f"error: {message}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("setting", ["schedule_kind = constant", "mask_per_symbol = false"])
+    @pytest.mark.parametrize("setting", ["schedule_kind = constant", "mask_per_symbol = false",
+                                         "optimizer = sgd", "optimizer = adam"])
     def test_fit_codes_rejects_a_removed_key(self, workdir, capsys, setting):
-        # a constant temperature is tau_min = tau_init; the odg mask is always per coordinate
+        # a constant temperature is tau_min = tau_init; the odg mask is always per
+        # coordinate; every fit steps with Adam
         cfg = workdir / "old.cfg"
         cfg.write_text(f"vocab_size = 50\nepochs = 1\n{setting}\n")
         out = workdir / "out"

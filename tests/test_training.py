@@ -17,7 +17,6 @@ from codepress.tasks import ReconstructionTask
 from codepress.training import (
     AUTO_HORIZON,
     Adam,
-    Sgd,
     TempSchedule,
     TrainConfig,
     Trainer,
@@ -116,29 +115,30 @@ class TestTrainConfig:
             TrainConfig(learning_rate=-0.1)
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(optimizer="rmsprop")
+        with pytest.raises(ValueError, match="optimizer"):
+            TrainConfig(optimizer="sgd")
         with pytest.raises(ValueError, match="entropy"):
             TrainConfig(entropy_weight=-1.0)
+        # the benchmark's call names the one optimizer, which is not stored
+        assert TrainConfig(optimizer="adam") == TrainConfig()
+
+    @pytest.mark.parametrize("cls, name", [
+        (TrainConfig, "learning_rate"), (TrainConfig, "entropy_weight"),
+        (TrainConfig, "grad_clip"), (GuidanceConfig, "match_weight"),
+        (GuidanceConfig, "embed_weight"), (GuidanceConfig, "logit_weight"),
+    ])
+    def test_nan_is_rejected(self, cls, name):
+        # NaN fails every comparison: a weight of NaN trained as 0, a clip of NaN never clipped
+        with pytest.raises(ValueError, match=name.split("_")[0]):
+            cls(**{name: float("nan")})
 
 
 class TestOptimizers:
-    def test_sgd_is_exact_gradient_step(self):
-        p = Tensor(np.array([1.0, 2.0, 3.0]), name="p")
-        Sgd({"p": p}, lr=0.5).step({"p": np.array([2.0, -4.0, 0.0])}, {})
-        assert np.array_equal(p.data, [0.0, 4.0, 3.0])
-
-    def test_sgd_row_updates_leave_other_rows_untouched(self):
-        data = np.arange(6.0).reshape(3, 2)
-        p = Tensor(data.copy(), name="p")
-        Sgd({"p": p}, lr=1.0).step({"p": np.ones((1, 2))}, {"p": np.array([1])})
-        assert np.array_equal(p.data[0], data[0])
-        assert np.array_equal(p.data[2], data[2])
-        assert np.array_equal(p.data[1], data[1] - 1.0)
-
     def test_adam_matches_reference_recurrence(self):
         rng = np.random.default_rng(0)
         init = rng.normal(size=(4, 3))
         p = Tensor(init.copy(), name="p")
-        opt = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam({"p": p}, lr=0.1)
         grads = [rng.normal(size=(4, 3)) for _ in range(3)]
 
         ref, m, v = init.copy(), np.zeros((4, 3)), np.zeros((4, 3))
